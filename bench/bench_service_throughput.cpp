@@ -151,7 +151,7 @@ int main() {
     std::cout << table.str()
               << "\nthe drain-bounded rate tracks the per-batch patch cost: dirty\n"
                  "components keep large-n batches on the incremental path, and the\n"
-                 "copy-on-write snapshot prices a reader at one topology copy per\n"
-                 "applied batch, taken between batches (snap ms is the copy).\n";
+                 "worker publishes each version as a page-sharing snapshot, so a\n"
+                 "reader's snapshot() is a pointer copy (snap ms).\n";
     return 0;
 }

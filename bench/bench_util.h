@@ -3,6 +3,8 @@
 // series the paper plots; EXPERIMENTS.md records paper-vs-measured.
 #pragma once
 
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -71,18 +73,47 @@ inline std::optional<Instance> make_instance(std::size_t n, double side, double 
     return instance;
 }
 
+/// `text` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else passed through as UTF-8 bytes.
+inline std::string json_string(const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char escaped[8];
+                    std::snprintf(escaped, sizeof escaped, "\\u%04x",
+                                  static_cast<unsigned>(static_cast<unsigned char>(c)));
+                    out += escaped;
+                } else {
+                    out += c;
+                }
+        }
+    }
+    out += '"';
+    return out;
+}
+
 /// Minimal flat JSON object builder for the machine-readable bench
 /// trajectory (one object per run, appended as a line of JSON — easy to
-/// diff across PRs and to load with any JSON-lines reader).
+/// diff across PRs and to load with any JSON-lines reader). Output is
+/// strict JSON: keys and strings are escaped, and non-finite doubles
+/// (which JSON cannot represent) are written as null.
 class JsonObject {
   public:
     JsonObject& add(const std::string& key, const std::string& value) {
-        return raw(key, '"' + value + '"');
+        return raw(key, json_string(value));
     }
     JsonObject& add(const std::string& key, const char* value) {
         return add(key, std::string(value));
     }
     JsonObject& add(const std::string& key, double value) {
+        if (!std::isfinite(value)) return raw(key, "null");
         std::ostringstream v;
         v << value;
         return raw(key, v.str());
@@ -93,7 +124,7 @@ class JsonObject {
     /// Pre-serialized JSON value (nested object/array).
     JsonObject& raw(const std::string& key, const std::string& json_value) {
         if (!body_.empty()) body_ += ',';
-        body_ += '"' + key + "\":" + json_value;
+        body_ += json_string(key) + ':' + json_value;
         return *this;
     }
     [[nodiscard]] std::string str() const { return '{' + body_ + '}'; }

@@ -1,6 +1,7 @@
 #include "core/backbone.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "protocol/clustering.h"
 #include "proximity/classic.h"
@@ -38,12 +39,44 @@ GeometricGraph induce_on_backbone(const GeometricGraph& udg,
 
 GeometricGraph with_dominatee_links(const GeometricGraph& base,
                                     const protocol::ClusterState& cluster) {
-    GeometricGraph g = base;
-    for (NodeId v = 0; v < g.node_count(); ++v) {
+    // Each node's links in CSR form: a dominatee's are its dominators_of
+    // list, a dominator's are the dominatees naming it (appended in
+    // ascending id order). Both come out sorted, so every adjacency list
+    // is one sorted merge with the base list, written into fresh pages
+    // rather than a copy of `base` patched page by page.
+    const auto n = static_cast<NodeId>(base.node_count());
+    std::vector<std::size_t> offset(n + 1, 0);
+    for (NodeId v = 0; v < n; ++v) {
         if (cluster.role[v] != protocol::Role::kDominatee) continue;
-        for (const NodeId d : cluster.dominators_of[v]) g.add_edge(v, d);
+        for (const NodeId d : cluster.dominators(v)) {
+            ++offset[v + 1];
+            ++offset[d + 1];
+        }
     }
-    return g;
+    for (NodeId v = 0; v < n; ++v) offset[v + 1] += offset[v];
+    std::vector<NodeId> links(offset[n]);
+    std::vector<std::size_t> fill(offset.begin(), offset.end() - 1);
+    for (NodeId v = 0; v < n; ++v) {
+        if (cluster.role[v] != protocol::Role::kDominatee) continue;
+        for (const NodeId d : cluster.dominators(v)) {
+            links[fill[v]++] = d;
+            links[fill[d]++] = v;
+        }
+    }
+
+    std::vector<std::size_t> offsets{0};
+    offsets.reserve(n + 1);
+    std::vector<NodeId> neighbors;
+    neighbors.reserve(2 * base.edge_count() + links.size());
+    for (NodeId v = 0; v < n; ++v) {
+        const auto own = base.neighbors(v);
+        std::set_union(own.begin(), own.end(),
+                       links.begin() + static_cast<std::ptrdiff_t>(offset[v]),
+                       links.begin() + static_cast<std::ptrdiff_t>(offset[v + 1]),
+                       std::back_inserter(neighbors));
+        offsets.push_back(neighbors.size());
+    }
+    return GeometricGraph(base.points(), offsets, neighbors);
 }
 
 Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {

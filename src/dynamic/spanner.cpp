@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <stdexcept>
+#include <string>
 
 #include "engine/thread_pool.h"
 #include "geom/predicates.h"
@@ -148,6 +151,30 @@ void DynamicSpanner::PatchContext::touch(NodeId v) {
     ++dirty_count;
 }
 
+std::string validate_batch(const UpdateBatch& batch, std::size_t node_count) {
+    for (const auto& mv : batch.moves) {
+        if (mv.node >= node_count) {
+            return "move targets nonexistent node " + std::to_string(mv.node);
+        }
+        if (!std::isfinite(mv.to.x) || !std::isfinite(mv.to.y)) {
+            return "non-finite move coordinate for node " + std::to_string(mv.node);
+        }
+    }
+    for (const geom::Point p : batch.joins) {
+        if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+            return "non-finite join coordinate";
+        }
+    }
+    std::size_t count = node_count + batch.joins.size();
+    for (const graph::NodeId leaver : batch.leaves) {
+        if (leaver >= count) {
+            return "leave targets nonexistent node " + std::to_string(leaver);
+        }
+        --count;
+    }
+    return {};
+}
+
 // ---- Construction ----------------------------------------------------
 
 DynamicSpanner::DynamicSpanner(engine::SpannerEngine& engine,
@@ -170,8 +197,8 @@ void DynamicSpanner::append_node(geom::Point p) {
     backbone_.ldel_icds.add_node(p);
     backbone_.ldel_icds_prime.add_node(p);
     backbone_.cluster.role.push_back(Role::kDominatee);
-    backbone_.cluster.dominators_of.emplace_back();
-    backbone_.cluster.two_hop_dominators_of.emplace_back();
+    backbone_.cluster.dominators_of.push_back();
+    backbone_.cluster.two_hop_dominators_of.push_back();
     backbone_.is_connector.push_back(false);
     backbone_.in_backbone.push_back(false);
     connector_refs_.push_back(0);
@@ -198,8 +225,8 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
 
     backbone_ = core::Backbone{};
     backbone_.cluster.role.assign(n, Role::kDominatee);
-    backbone_.cluster.dominators_of.assign(n, {});
-    backbone_.cluster.two_hop_dominators_of.assign(n, {});
+    backbone_.cluster.dominators_of = graph::CowRows<NodeId>(n);
+    backbone_.cluster.two_hop_dominators_of = graph::CowRows<NodeId>(n);
     backbone_.is_connector.assign(n, false);
     backbone_.in_backbone.assign(n, false);
     backbone_.cds = GeometricGraph(points_);
@@ -276,6 +303,9 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
 // ---- apply -----------------------------------------------------------
 
 PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
+    if (std::string invalid = validate_batch(batch, points_.size()); !invalid.empty()) {
+        throw std::invalid_argument(std::move(invalid));
+    }
     PatchStats stats;
     const engine::EngineOptions& opts = engine_->options();
     const bool incremental_ok = opts.incremental &&
@@ -427,14 +457,13 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
         }
     }
     sort_unique(ctx.moved);
-    for (const NodeId v : ctx.moved) {
-        udg_.set_point(v, points_[v]);
-        backbone_.cds.set_point(v, points_[v]);
-        backbone_.cds_prime.set_point(v, points_[v]);
-        backbone_.icds.set_point(v, points_[v]);
-        backbone_.icds_prime.set_point(v, points_[v]);
-        backbone_.ldel_icds.set_point(v, points_[v]);
-        backbone_.ldel_icds_prime.set_point(v, points_[v]);
+    for (const NodeId v : ctx.moved) udg_.set_point(v, points_[v]);
+    // All seven graphs hold the same positions: share the UDG's array
+    // instead of patching (and, after a snapshot, cloning) six copies.
+    for (GeometricGraph* g : {&backbone_.cds, &backbone_.cds_prime, &backbone_.icds,
+                              &backbone_.icds_prime, &backbone_.ldel_icds,
+                              &backbone_.ldel_icds_prime}) {
+        g->share_points(udg_);
     }
 
     // Re-derive the incident edge set of every moved/joined node from
@@ -571,9 +600,10 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
                 if (cluster.role[u] == Role::kDominator) fresh.push_back(u);
             }
         }
-        if (fresh != cluster.dominators_of[v]) {
-            ctx.old_dominators.emplace(v, std::move(cluster.dominators_of[v]));
-            cluster.dominators_of[v] = fresh;
+        const auto old = cluster.dominators_of[v];
+        if (!std::ranges::equal(fresh, old)) {
+            ctx.old_dominators.emplace(v, std::vector<NodeId>(old.begin(), old.end()));
+            cluster.dominators_of.assign(v, fresh);
             ctx.dom_list_changed.push_back(v);
             ctx.touch(v);
         }
@@ -599,8 +629,8 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
                 if (d != v && !udg_.has_edge(v, d)) sorted_insert(fresh, d);
             }
         }
-        if (fresh != cluster.two_hop_dominators_of[v]) {
-            cluster.two_hop_dominators_of[v] = fresh;
+        if (!std::ranges::equal(fresh, cluster.two_hop_dominators_of[v])) {
+            cluster.two_hop_dominators_of.assign(v, fresh);
             ctx.two_hop_changed.push_back(v);
             ctx.touch(v);
         }

@@ -46,6 +46,7 @@
 #include <cstddef>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -76,6 +77,13 @@ struct UpdateBatch {
         return moves.empty() && joins.empty() && leaves.empty();
     }
 };
+
+/// Structural validation of `batch` against a spanner of `node_count`
+/// nodes: "" when every move and leave names an existing node and every
+/// coordinate is finite, otherwise the first problem found. Leaves are
+/// checked sequentially, each against the count left by the previous
+/// swap-removes. Cheap enough to run on every batch.
+[[nodiscard]] std::string validate_batch(const UpdateBatch& batch, std::size_t node_count);
 
 /// One connected dirty component of a batch: its connector-stage seed
 /// set size, its 2-hop dirty region (sorted node ids), and whether that
@@ -122,6 +130,8 @@ class DynamicSpanner {
     /// Applies one update batch and repairs the backbone. Returns the
     /// patch report; stats.pipeline carries one StageStats per patch
     /// kernel (or the engine's stage names on the fallback path).
+    /// Throws std::invalid_argument, before touching any state, when
+    /// validate_batch rejects the batch.
     PatchStats apply(const UpdateBatch& batch);
 
     [[nodiscard]] const graph::GeometricGraph& udg() const noexcept { return udg_; }

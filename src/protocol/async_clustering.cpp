@@ -23,8 +23,8 @@ ClusterState run_async_clustering(AsyncNet& net, const GeometricGraph& udg) {
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
+    std::vector<std::vector<NodeId>> dominators(n);
+    std::vector<std::vector<NodeId>> two_hop(n);
 
     std::vector<char> white(n, 1);
     // Smaller-id neighbors whose decision v has not yet heard about.
@@ -62,7 +62,7 @@ ClusterState run_async_clustering(AsyncNet& net, const GeometricGraph& udg) {
                 state.role[v] = Role::kDominatee;
             }
             if (state.role[v] == Role::kDominatee &&
-                sorted_insert(state.dominators_of[v], env.from)) {
+                sorted_insert(dominators[v], env.from)) {
                 // This broadcast also tells v's waiting neighbors that v
                 // has decided.
                 net.broadcast(v, IamDominatee{env.from});
@@ -70,13 +70,15 @@ ClusterState run_async_clustering(AsyncNet& net, const GeometricGraph& udg) {
         } else if (const auto* msg = std::get_if<IamDominatee>(&env.payload)) {
             const NodeId d = msg->dominator;
             if (d != v && !udg.has_edge(v, d)) {
-                sorted_insert(state.two_hop_dominators_of[v], d);
+                sorted_insert(two_hop[v], d);
             }
             on_neighbor_decided(env.from);
         }
     });
 
     assert(std::none_of(white.begin(), white.end(), [](char w) { return w != 0; }));
+    state.dominators_of = graph::CowRows<NodeId>(dominators);
+    state.two_hop_dominators_of = graph::CowRows<NodeId>(two_hop);
     return state;
 }
 

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/cow_rows.h"
 #include "graph/geometric_graph.h"
 
 namespace geospanner::protocol {
@@ -18,11 +19,12 @@ enum class Role : std::uint8_t {
 /// dominatee, `dominators_of` lists its adjacent dominators (<= 5 by
 /// Lemma 1) and `two_hop_dominators_of` the dominators exactly two hops
 /// away that it learned about from neighbors' IamDominatee broadcasts.
-/// Lists are sorted by node id.
+/// Lists are sorted by node id and stored in copy-on-write pages, so a
+/// copy shares them until either side writes to a row.
 struct ClusterState {
     std::vector<Role> role;
-    std::vector<std::vector<graph::NodeId>> dominators_of;
-    std::vector<std::vector<graph::NodeId>> two_hop_dominators_of;
+    graph::CowRows<graph::NodeId> dominators_of;
+    graph::CowRows<graph::NodeId> two_hop_dominators_of;
 
     [[nodiscard]] bool is_dominator(graph::NodeId v) const {
         return role[v] == Role::kDominator;

@@ -42,22 +42,35 @@ Key key_of(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
 /// lists (what IamDominatee traffic reveals).
 void derive_lists(const GeometricGraph& udg, ClusterState& state) {
     const auto n = static_cast<NodeId>(udg.node_count());
+    // Both passes fill rows in node order, so they build CSR arrays and
+    // hand them to fresh pages in one step.
+    std::vector<std::size_t> offsets{0};
+    std::vector<NodeId> lists;
     for (NodeId v = 0; v < n; ++v) {
-        if (state.role[v] != Role::kDominatee) continue;
-        for (const NodeId u : udg.neighbors(v)) {
-            if (state.role[u] == Role::kDominator) state.dominators_of[v].push_back(u);
-        }
-    }
-    for (NodeId v = 0; v < n; ++v) {
-        for (const NodeId w : udg.neighbors(v)) {
-            if (state.role[w] != Role::kDominatee) continue;
-            for (const NodeId d : state.dominators_of[w]) {
-                if (d != v && !udg.has_edge(v, d)) {
-                    sorted_insert(state.two_hop_dominators_of[v], d);
-                }
+        if (state.role[v] == Role::kDominatee) {
+            for (const NodeId u : udg.neighbors(v)) {
+                if (state.role[u] == Role::kDominator) lists.push_back(u);
             }
         }
+        offsets.push_back(lists.size());
     }
+    state.dominators_of = graph::CowRows<NodeId>(offsets, lists);
+
+    offsets.assign(1, 0);
+    lists.clear();
+    std::vector<NodeId> two_hop;
+    for (NodeId v = 0; v < n; ++v) {
+        two_hop.clear();
+        for (const NodeId w : udg.neighbors(v)) {
+            if (state.role[w] != Role::kDominatee) continue;
+            for (const NodeId d : state.dominators(w)) {
+                if (d != v && !udg.has_edge(v, d)) sorted_insert(two_hop, d);
+            }
+        }
+        lists.insert(lists.end(), two_hop.begin(), two_hop.end());
+        offsets.push_back(lists.size());
+    }
+    state.two_hop_dominators_of = graph::CowRows<NodeId>(offsets, lists);
 }
 
 }  // namespace
@@ -66,8 +79,8 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
+    std::vector<std::vector<NodeId>> dominators(n);
+    std::vector<std::vector<NodeId>> two_hop(n);
 
     // Per-node protocol state: whiteness of self and of each neighbor as
     // currently known (updated from received announcements). Election
@@ -99,14 +112,14 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
                         state.role[v] = Role::kDominatee;
                     }
                     if (state.role[v] == Role::kDominatee &&
-                        sorted_insert(state.dominators_of[v], env.from)) {
+                        sorted_insert(dominators[v], env.from)) {
                         net.broadcast(v, IamDominatee{env.from});
                     }
                 } else if (const auto* msg = std::get_if<IamDominatee>(&env.payload)) {
                     white_neighbors[v].erase(key_of(udg, env.from, policy));
                     const NodeId d = msg->dominator;
                     if (d != v && !udg.has_edge(v, d)) {
-                        sorted_insert(state.two_hop_dominators_of[v], d);
+                        sorted_insert(two_hop[v], d);
                     }
                 }
             }
@@ -126,6 +139,8 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
     }
 
     assert(std::none_of(white.begin(), white.end(), [](char w) { return w != 0; }));
+    state.dominators_of = graph::CowRows<NodeId>(dominators);
+    state.two_hop_dominators_of = graph::CowRows<NodeId>(two_hop);
     return state;
 }
 
@@ -133,8 +148,6 @@ ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) 
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
 
     // Synchronized rounds: in each round, every white node that is a
     // local optimum among white neighbors becomes a dominator; its white
@@ -179,8 +192,6 @@ ClusterState lowest_id_mis(const GeometricGraph& udg) {
     const auto n = static_cast<NodeId>(udg.node_count());
     ClusterState state;
     state.role.assign(n, Role::kDominatee);
-    state.dominators_of.resize(n);
-    state.two_hop_dominators_of.resize(n);
 
     // Lexicographically-first MIS: in increasing id order, v becomes a
     // dominator iff no smaller-id neighbor already is one.

@@ -1,6 +1,6 @@
 #include "service/service.h"
 
-#include <cmath>
+#include <algorithm>
 #include <utility>
 
 namespace geospanner::service {
@@ -11,37 +11,6 @@ double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
     return std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(b - a)
         .count();
-}
-
-/// Structural validation, cheap enough to run on every batch: a batch
-/// that names nonexistent nodes or carries non-finite coordinates is
-/// poisoned — applying it would corrupt the patcher's invariants (or
-/// crash), so it is quarantined before apply. `n` is the pre-batch
-/// node count.
-std::string validate_batch(const dynamic::UpdateBatch& batch, std::size_t n) {
-    for (const auto& mv : batch.moves) {
-        if (mv.node >= n) {
-            return "move targets nonexistent node " + std::to_string(mv.node);
-        }
-        if (!std::isfinite(mv.to.x) || !std::isfinite(mv.to.y)) {
-            return "non-finite move coordinate for node " + std::to_string(mv.node);
-        }
-    }
-    for (const geom::Point p : batch.joins) {
-        if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
-            return "non-finite join coordinate";
-        }
-    }
-    // Leaves apply sequentially with swap-remove, so each one must be
-    // in range of the count it sees.
-    std::size_t count = n + batch.joins.size();
-    for (const graph::NodeId leaver : batch.leaves) {
-        if (count == 0 || leaver >= count) {
-            return "leave targets nonexistent node " + std::to_string(leaver);
-        }
-        --count;
-    }
-    return {};
 }
 
 }  // namespace
@@ -57,6 +26,8 @@ SpannerService::SpannerService(engine::SpannerEngine& engine,
     if (track_last_good_) last_good_points_ = points;
     spanner_ = std::make_unique<dynamic::DynamicSpanner>(engine, std::move(points),
                                                          radius);
+    published_ = capture(version_);
+    snapshots_published_ = 1;
     if (options_.queue_capacity > 0) {
         UpdateQueue<Ingest>::CoalesceFn coalesce;
         if (options_.backpressure == BackpressurePolicy::kCoalesce) {
@@ -128,13 +99,10 @@ void SpannerService::worker_loop() {
 
 void SpannerService::process(Ingest& ingest) {
     const dynamic::UpdateBatch& batch = ingest.batch;
-    const std::size_t updates =
-        batch.moves.size() + batch.joins.size() + batch.leaves.size();
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-
-    const std::string invalid = validate_batch(batch, spanner_->node_count());
+    const std::string invalid = dynamic::validate_batch(batch, spanner_->node_count());
     if (!invalid.empty()) {
-        // Caught before apply: state untouched, nothing to roll back.
+        // Caught before apply: state untouched, nothing to publish.
+        const std::lock_guard<std::mutex> lock(publish_mutex_);
         record_quarantine(invalid, batch, /*rolled_back=*/false);
         return;
     }
@@ -143,20 +111,17 @@ void SpannerService::process(Ingest& ingest) {
     dynamic::PatchStats pstats;
     if (options_.watchdog_ms > 0.0) {
         if (!apply_with_watchdog(batch, pstats)) {
-            ++watchdog_timeouts_;
-            rebuild_from_last_good();
-            record_quarantine("watchdog: apply exceeded " +
-                                  std::to_string(options_.watchdog_ms) + " ms",
-                              batch, /*rolled_back=*/true);
-            ++version_;
-            cached_.reset();
+            roll_back("watchdog: apply exceeded " + std::to_string(options_.watchdog_ms) +
+                          " ms",
+                      batch, /*apply_ms=*/0.0, /*timed_out=*/true);
             return;
         }
     } else {
         if (options_.apply_hook) options_.apply_hook(batch);
         pstats = spanner_->apply(batch);
     }
-    apply_ms_total_ += ms_between(t0, std::chrono::steady_clock::now());
+    const double apply_ms = ms_between(t0, std::chrono::steady_clock::now());
+    SnapshotHandle next = capture(version_ + 1);
 
     bool gate_ran = false;
     if (gate_configured_) {
@@ -164,30 +129,30 @@ void SpannerService::process(Ingest& ingest) {
             options_.audit_every > 0 ? options_.audit_every : 1;
         if (++gate_counter_ % cadence == 0) {
             gate_ran = true;
-            std::string reason = run_gate();
+            std::string reason = run_gate(next);
             if (!reason.empty()) {
-                rebuild_from_last_good();
-                record_quarantine(std::move(reason), batch, /*rolled_back=*/true);
-                ++version_;
-                cached_.reset();
+                roll_back(std::move(reason), batch, apply_ms, /*timed_out=*/false);
                 return;
             }
         }
     }
-
-    ++version_;
-    ++batches_applied_;
-    cached_.reset();  // Next reader copies the new topology.
-    updates_applied_ += updates;
-    if (pstats.fell_back) ++fallbacks_;
-    components_patched_ += pstats.components.size();
-    component_fallbacks_ += pstats.component_fallbacks;
     // The rollback target only advances past states the gate actually
     // certified (or every applied state when no gate is configured).
     if (track_last_good_ && (!gate_configured_ || gate_ran)) {
-        last_good_points_ = spanner_->positions();
+        last_good_points_ = next->points;
     }
-}
+
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
+    apply_ms_total_ += apply_ms;
+    ++version_;
+    ++batches_applied_;
+    updates_applied_ += batch.moves.size() + batch.joins.size() + batch.leaves.size();
+    if (pstats.fell_back) ++fallbacks_;
+    components_patched_ += pstats.components.size();
+    component_fallbacks_ += pstats.component_fallbacks;
+    published_.swap(next);
+    ++snapshots_published_;
+}  // `next` now holds the previous version, released after the lock.
 
 bool SpannerService::apply_with_watchdog(const dynamic::UpdateBatch& batch,
                                          dynamic::PatchStats& out) {
@@ -223,26 +188,37 @@ bool SpannerService::apply_with_watchdog(const dynamic::UpdateBatch& batch,
     return false;
 }
 
-std::string SpannerService::run_gate() {
-    if (options_.post_apply_check) {
-        Snapshot snap;
-        snap.version = version_ + 1;
-        snap.points = spanner_->positions();
-        snap.radius = spanner_->radius();
-        snap.udg = spanner_->udg();
-        snap.backbone = spanner_->backbone();
-        return options_.post_apply_check(snap);
-    }
+SnapshotHandle SpannerService::capture(std::uint64_t version) const {
+    auto snap = std::make_shared<Snapshot>();
+    snap->version = version;
+    snap->points = spanner_->positions();
+    snap->radius = spanner_->radius();
+    snap->udg = spanner_->udg();
+    snap->backbone = spanner_->backbone();
+    return snap;
+}
+
+std::string SpannerService::run_gate(const SnapshotHandle& candidate) {
+    if (options_.post_apply_check) return options_.post_apply_check(*candidate);
     const verify::AuditTrail trail = verify::audit_backbone(
-        spanner_->udg(), spanner_->backbone(), options_.audit_options);
+        candidate->udg, candidate->backbone, options_.audit_options);
     if (trail.pass()) return {};
     const verify::AuditReport* failure = trail.first_failure();
     return failure ? "audit gate: " + failure->summary() : "audit gate failed";
 }
 
-void SpannerService::rebuild_from_last_good() {
+void SpannerService::roll_back(std::string reason, const dynamic::UpdateBatch& batch,
+                               double apply_ms, bool timed_out) {
     spanner_ = std::make_unique<dynamic::DynamicSpanner>(
         *engine_, std::vector<geom::Point>(last_good_points_), radius_);
+    SnapshotHandle next = capture(version_ + 1);
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
+    apply_ms_total_ += apply_ms;
+    if (timed_out) ++watchdog_timeouts_;
+    record_quarantine(std::move(reason), batch, /*rolled_back=*/true);
+    ++version_;
+    published_.swap(next);
+    ++snapshots_published_;
 }
 
 void SpannerService::record_quarantine(std::string reason,
@@ -259,25 +235,18 @@ void SpannerService::record_quarantine(std::string reason,
     ++batches_quarantined_;
 }
 
-SnapshotHandle SpannerService::snapshot() {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
-    if (!cached_) {
-        auto snap = std::make_shared<Snapshot>();
-        snap->version = version_;
-        snap->points = spanner_->positions();
-        snap->radius = spanner_->radius();
-        snap->udg = spanner_->udg();
-        snap->backbone = spanner_->backbone();
-        cached_ = std::move(snap);
-        ++snapshots_published_;
-    }
-    return cached_;
+SnapshotHandle SpannerService::snapshot() const {
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
+    return published_;
 }
 
 void SpannerService::drain() {
     std::unique_lock<std::mutex> lock(drain_mutex_);
     const std::uint64_t target = enqueued_;
-    drained_.wait(lock, [&] { return applied_ >= target; });
+    // An enqueue racing stop() may have been counted into `target` and
+    // then refused (and uncounted); it will never be applied, so the
+    // goal shrinks with enqueued_ instead of waiting for it forever.
+    drained_.wait(lock, [&] { return applied_ >= std::min(target, enqueued_); });
 }
 
 void SpannerService::stop() {
@@ -295,7 +264,7 @@ void SpannerService::stop() {
 ServiceStats SpannerService::stats() const {
     ServiceStats out;
     {
-        const std::lock_guard<std::mutex> lock(state_mutex_);
+        const std::lock_guard<std::mutex> lock(publish_mutex_);
         out.batches_applied = batches_applied_;
         out.updates_applied = updates_applied_;
         out.fallbacks = fallbacks_;
@@ -325,7 +294,7 @@ ServiceStats SpannerService::stats() const {
 }
 
 std::vector<QuarantineReport> SpannerService::quarantine_reports() const {
-    const std::lock_guard<std::mutex> lock(state_mutex_);
+    const std::lock_guard<std::mutex> lock(publish_mutex_);
     return quarantine_reports_;
 }
 

@@ -2,43 +2,52 @@
 // mobile users" serving story. Producers enqueue UpdateBatch mobility
 // churn from any thread; one ingest worker applies batches in arrival
 // order through the incremental patcher; readers take versioned
-// copy-on-write snapshots that stay immutable while patches land.
+// snapshots that stay immutable while patches land.
 //
-// Consistency contract: a SnapshotHandle is a deep copy of the
-// maintained (positions, UDG, backbone) triple taken between batch
-// applications under the state lock — a reader can never observe a
+// Consistency contract: after each batch is applied (or rolled back)
+// the worker itself publishes the new version — an immutable Snapshot
+// of the maintained (positions, UDG, backbone) triple — by swapping one
+// pointer under a publish lock. A reader can never observe a
 // half-applied batch, and a held snapshot never changes underneath its
-// holder. Snapshots are created lazily (first read after a version
-// bump) and shared: back-to-back readers between two batches get the
-// same handle, so an idle service costs one copy per applied batch at
-// most, not one per read.
+// holder. Publishing is cheap because the snapshot shares structure
+// with the live state instead of deep-copying it: every adjacency and
+// dominator list lives in copy-on-write pages (graph::CowRows) and the
+// graphs share one point array, so a snapshot costs one reference per
+// 16-node page plus flat copies of the positions, roles, flags and
+// triangles, and the next apply clones only the pages its dirty region
+// writes. snapshot() takes only the publish lock, so it never waits
+// behind an in-flight apply; every reader between two publications gets
+// the same handle.
 //
 // Hardening (ServiceOptions, all off by default):
 //   * Bounded ingest queue with explicit backpressure — block the
 //     producer, reject the batch, or coalesce move-only batches into
 //     the newest queued one.
 //   * Poisoned-batch quarantine: structurally invalid batches
-//     (non-finite coordinates, out-of-range ids) are rejected before
-//     apply; an optional post-apply audit gate (verify::audit_backbone
-//     every audit_every batches, or a caller-supplied check) rolls a
-//     batch that corrupted the invariants back to the last good
-//     positions via full rebuild. Either way the service keeps serving
-//     and records a QuarantineReport.
+//     (dynamic::validate_batch: non-finite coordinates, out-of-range
+//     ids) are rejected before apply; an optional post-apply audit gate
+//     (verify::audit_backbone every audit_every batches, or a
+//     caller-supplied check) rolls a batch that corrupted the
+//     invariants back to the last good positions via full rebuild.
+//     Either way the service keeps serving and records a
+//     QuarantineReport.
 //   * Watchdog: with watchdog_ms > 0 each apply runs on a disposable
 //     applier thread; an apply that wedges past the deadline is
 //     abandoned (the orphaned spanner and thread are kept alive until
 //     stop()) and the service degrades to a rebuild from the last good
 //     positions instead of stalling the ingest worker forever.
 //
-// Thread-safety: enqueue(), snapshot(), stats(), drain() are safe from
-// any thread. The ingest worker drives the engine ThreadPool for the
-// bulk kernels; concurrent external drivers (e.g. a reader rebuilding a
+// Thread-safety: enqueue(), snapshot(), stats(), quarantine_reports()
+// and drain() are safe from any thread; none of them waits for an
+// apply to finish except drain(). The maintained spanner is touched
+// only by the ingest worker (and by an abandoned applier thread, on its
+// orphaned copy). The worker drives the engine ThreadPool for the bulk
+// kernels; concurrent external drivers (e.g. a reader rebuilding a
 // reference on the same engine) are serialized by the pool itself.
-// snapshot()/stats() block while a batch is mid-apply (bounded by the
-// watchdog when one is configured). stop() returns only after enqueues
-// are rejected, the backlog is drained, and the worker has exited; it
-// also reaps any orphaned applier threads, so a wedged apply must
-// terminate eventually for stop() to return.
+// stop() returns only after enqueues are rejected, the backlog is
+// drained, and the worker has exited; it also reaps any orphaned
+// applier threads, so a wedged apply must terminate eventually for
+// stop() to return.
 #pragma once
 
 #include <atomic>
@@ -64,8 +73,8 @@ namespace geospanner::service {
 
 /// One immutable published topology: the version counter (bumped on
 /// every published-state change, including quarantine rollbacks) plus
-/// deep copies of the maintained state. Shared between all readers of
-/// that version.
+/// copies of the maintained state that share their copy-on-write pages
+/// with it. Shared between all readers of that version.
 struct Snapshot {
     std::uint64_t version = 0;
     std::vector<geom::Point> points;
@@ -114,8 +123,8 @@ struct ServiceOptions {
     verify::AuditOptions audit_options;
     /// Custom post-apply gate (overrides the audit; runs every batch
     /// unless audit_every sets a cadence): return "" for healthy, a
-    /// reason string to quarantine. Called under the state lock with
-    /// the just-applied topology.
+    /// reason string to quarantine. Called on the ingest worker with
+    /// the just-applied topology, before it is published.
     std::function<std::string(const Snapshot&)> post_apply_check;
     /// Test seam: runs in the applying context just before each apply
     /// (e.g. to wedge it for watchdog tests).
@@ -130,7 +139,7 @@ struct ServiceStats {
     std::uint64_t fallbacks = 0;        ///< batches on the full-rebuild path
     std::uint64_t components_patched = 0;
     std::uint64_t component_fallbacks = 0;  ///< components over the per-component cap
-    std::uint64_t snapshots_published = 0;
+    std::uint64_t snapshots_published = 0;  ///< versions published, initial one included
     std::uint64_t batches_rejected = 0;    ///< backpressure kReject drops
     std::uint64_t batches_coalesced = 0;   ///< merged into a queued batch
     std::uint64_t batches_quarantined = 0; ///< validation/audit/watchdog catches
@@ -159,10 +168,9 @@ class SpannerService {
     /// bounded queue is full.
     bool enqueue(dynamic::UpdateBatch batch);
 
-    /// The current published topology. Blocks only for the copy (and
-    /// never while a batch is mid-application — the copy happens between
-    /// batches under the state lock).
-    [[nodiscard]] SnapshotHandle snapshot();
+    /// The newest published topology. Takes only the publish lock (held
+    /// by the worker for a pointer swap), never waiting for an apply.
+    [[nodiscard]] SnapshotHandle snapshot() const;
 
     /// Blocks until every batch enqueued before this call was processed
     /// (applied, coalesced-and-applied, or quarantined).
@@ -205,16 +213,23 @@ class SpannerService {
     };
 
     void worker_loop();
-    /// Validate → apply (inline or watchdogged) → gate → publish, all
-    /// under state_mutex_.
+    /// Validate → apply (inline or watchdogged) → gate → publish.
     void process(Ingest& ingest);
+    /// The maintained state as an immutable snapshot labelled `version`
+    /// — the one snapshot code path (publication and the custom gate).
+    [[nodiscard]] SnapshotHandle capture(std::uint64_t version) const;
+    /// Rebuilds from the last good positions, records the quarantine
+    /// (plus the discarded apply's time, or a watchdog timeout) and
+    /// publishes the rebuilt state as the next version.
+    void roll_back(std::string reason, const dynamic::UpdateBatch& batch,
+                   double apply_ms, bool timed_out);
     /// Runs apply on a disposable thread; false = deadline passed and
     /// spanner_ was orphaned (caller must rebuild).
     bool apply_with_watchdog(const dynamic::UpdateBatch& batch,
                              dynamic::PatchStats& out);
     /// "" = healthy; otherwise the quarantine reason.
-    [[nodiscard]] std::string run_gate();
-    void rebuild_from_last_good();
+    [[nodiscard]] std::string run_gate(const SnapshotHandle& candidate);
+    /// Appends a report; caller holds publish_mutex_.
     void record_quarantine(std::string reason, const dynamic::UpdateBatch& batch,
                            bool rolled_back);
 
@@ -223,14 +238,19 @@ class SpannerService {
     double radius_ = 0.0;
     bool gate_configured_ = false;
     bool track_last_good_ = false;
-    std::unique_ptr<dynamic::DynamicSpanner> spanner_;  ///< guarded by state_mutex_
     UpdateQueue<Ingest> queue_;
     std::thread worker_;
 
-    /// Guards spanner_, cached_, last_good_points_, quarantine_reports_,
-    /// and the stats counters below.
-    mutable std::mutex state_mutex_;
-    SnapshotHandle cached_;  ///< snapshot of `version_`; null when stale
+    /// Worker-only state (and the constructor's, before the worker
+    /// starts): the maintained spanner and the rollback bookkeeping.
+    std::unique_ptr<dynamic::DynamicSpanner> spanner_;
+    std::uint64_t gate_counter_ = 0;
+    std::vector<geom::Point> last_good_points_;  ///< rollback target
+
+    /// Guards published_, quarantine_reports_ and the counters below.
+    /// The worker writes them; it reads version_ without the lock.
+    mutable std::mutex publish_mutex_;
+    SnapshotHandle published_;  ///< the snapshot of `version_`
     std::uint64_t version_ = 0;
     std::uint64_t batches_applied_ = 0;
     std::uint64_t updates_applied_ = 0;
@@ -240,12 +260,10 @@ class SpannerService {
     std::uint64_t snapshots_published_ = 0;
     std::uint64_t batches_quarantined_ = 0;
     std::uint64_t watchdog_timeouts_ = 0;
-    std::uint64_t gate_counter_ = 0;
     double apply_ms_total_ = 0.0;
-    std::vector<geom::Point> last_good_points_;  ///< rollback target
     std::vector<QuarantineReport> quarantine_reports_;
 
-    /// Producer-side counters (outside the state lock).
+    /// Producer-side counters (outside the publish lock).
     std::atomic<std::uint64_t> batches_rejected_{0};
     std::atomic<std::uint64_t> batches_coalesced_{0};
 

@@ -73,20 +73,24 @@ protocol::ClusterState restrict_cluster(const protocol::ClusterState& global,
     protocol::ClusterState local;
     const std::size_t m = region.size();
     local.role.resize(m);
-    local.dominators_of.resize(m);
-    local.two_hop_dominators_of.resize(m);
+    std::vector<std::size_t> dominator_offsets{0};
+    std::vector<NodeId> dominators;
+    std::vector<std::size_t> two_hop_offsets{0};
+    std::vector<NodeId> two_hop;
     for (std::size_t i = 0; i < m; ++i) {
         const NodeId g = region[i];
         local.role[i] = global.role[g];
-        for (const NodeId d : global.dominators_of[g]) {
-            if (in_list(region, d)) local.dominators_of[i].push_back(local_of(region, d));
+        for (const NodeId d : global.dominators(g)) {
+            if (in_list(region, d)) dominators.push_back(local_of(region, d));
         }
-        for (const NodeId d : global.two_hop_dominators_of[g]) {
-            if (in_list(region, d)) {
-                local.two_hop_dominators_of[i].push_back(local_of(region, d));
-            }
+        for (const NodeId d : global.two_hop_dominators(g)) {
+            if (in_list(region, d)) two_hop.push_back(local_of(region, d));
         }
+        dominator_offsets.push_back(dominators.size());
+        two_hop_offsets.push_back(two_hop.size());
     }
+    local.dominators_of = graph::CowRows<NodeId>(dominator_offsets, dominators);
+    local.two_hop_dominators_of = graph::CowRows<NodeId>(two_hop_offsets, two_hop);
     return local;
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -115,6 +117,40 @@ TEST(DynamicSpanner, InitialBuildMatchesReference) {
                 << "n=" << param.n << " r=" << param.radius << " seed=" << param.seed;
         }
     }
+}
+
+TEST(DynamicSpanner, InvalidBatchThrowsBeforeTouchingState) {
+    const auto udg = test::connected_udg(40, 200.0, 60.0, 3);
+    ASSERT_GT(udg.node_count(), 0u);
+    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    DynamicSpanner dyn(engine, udg.points(), 60.0);
+    const std::vector<geom::Point> points = dyn.positions();
+    const graph::GeometricGraph before_udg = dyn.udg();
+    const core::Backbone before = dyn.backbone();
+    const auto n = static_cast<NodeId>(dyn.node_count());
+
+    UpdateBatch nan_move;
+    nan_move.moves.push_back({1, {10.0, 10.0}});  // valid, must not land either
+    nan_move.moves.push_back({0, {std::numeric_limits<double>::quiet_NaN(), 5.0}});
+    UpdateBatch inf_join;
+    inf_join.joins.push_back({std::numeric_limits<double>::infinity(), 0.0});
+    UpdateBatch bad_move_id;
+    bad_move_id.moves.push_back({n, {1.0, 1.0}});
+    UpdateBatch bad_leave;
+    bad_leave.leaves = {n - 1, n - 1};  // the second names a swapped-away id
+    for (const UpdateBatch* batch : {&nan_move, &inf_join, &bad_move_id, &bad_leave}) {
+        EXPECT_NE(validate_batch(*batch, dyn.node_count()), "");
+        EXPECT_THROW(dyn.apply(*batch), std::invalid_argument);
+        EXPECT_EQ(dyn.positions(), points);
+        EXPECT_EQ(dyn.udg(), before_udg);
+        EXPECT_EQ(test::backbone_diff(dyn.backbone(), before), "");
+    }
+
+    UpdateBatch leave_then_last;
+    leave_then_last.leaves = {0, n - 2};  // in range after the first swap-remove
+    EXPECT_EQ(validate_batch(leave_then_last, dyn.node_count()), "");
+    dyn.apply(leave_then_last);
+    EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
 }
 
 TEST(DynamicSpanner, SingleMovesMatchReference) {

@@ -11,10 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <limits>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dynamic_test_util.h"
@@ -447,6 +451,189 @@ TEST(SpannerService, PoisonedBatchIsQuarantinedBeforeApply) {
     // The service kept serving: the final state is exactly the two
     // healthy batches applied to the initial topology.
     EXPECT_EQ(snapshot_divergence(*service.snapshot()), "");
+}
+
+/// FNV-1a over everything a snapshot publishes: positions (bit
+/// patterns), every graph's edge list, the cluster lists, the flags and
+/// the LDel triangles. Equal digests mean equal snapshots for any test
+/// purpose here.
+class Digest {
+  public:
+    void word(std::uint64_t w) {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (w >> (8 * i)) & 0xffu;
+            h_ *= 0x100000001b3ULL;
+        }
+    }
+    void points(const std::vector<geom::Point>& pts) {
+        word(pts.size());
+        for (const geom::Point p : pts) {
+            word(std::bit_cast<std::uint64_t>(p.x));
+            word(std::bit_cast<std::uint64_t>(p.y));
+        }
+    }
+    void graph(const graph::GeometricGraph& g) {
+        points(g.points());
+        word(g.edge_count());
+        for (const auto& [u, v] : g.edges()) word((std::uint64_t{u} << 32) | v);
+    }
+    void rows(const graph::CowRows<NodeId>& rows) {
+        word(rows.size());
+        for (std::size_t v = 0; v < rows.size(); ++v) {
+            word(rows[v].size());
+            for (const NodeId d : rows[v]) word(d);
+        }
+    }
+    template <class Flags>
+    void flags(const Flags& f) {
+        word(f.size());
+        for (const auto x : f) word(static_cast<std::uint64_t>(x));
+    }
+    [[nodiscard]] std::uint64_t value() const { return h_; }
+
+  private:
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+std::uint64_t digest(const std::vector<geom::Point>& points,
+                     const graph::GeometricGraph& udg, const core::Backbone& b) {
+    Digest d;
+    d.points(points);
+    d.graph(udg);
+    d.flags(b.cluster.role);
+    d.rows(b.cluster.dominators_of);
+    d.rows(b.cluster.two_hop_dominators_of);
+    d.flags(b.is_connector);
+    d.flags(b.in_backbone);
+    for (const graph::GeometricGraph* g : {&b.cds, &b.cds_prime, &b.icds, &b.icds_prime,
+                                           &b.ldel_icds, &b.ldel_icds_prime}) {
+        d.graph(*g);
+    }
+    for (const auto& t : b.ldel_triangles) {
+        d.word(t.a);
+        d.word(t.b);
+        d.word(t.c);
+    }
+    return d.value();
+}
+
+std::uint64_t digest(const Snapshot& snap) {
+    return digest(snap.points, snap.udg, snap.backbone);
+}
+
+// Structural sharing under concurrency: a reader keeps a snapshot of
+// every version alive while later batches clone and rewrite the pages
+// those snapshots share. Each held snapshot must stay bit-identical to
+// what it was when acquired and equal a from-scratch build on the
+// positions of its version (replayed independently of the service).
+TEST(SpannerService, HeldSnapshotsOfManyVersionsStayExact) {
+    constexpr std::size_t kBatches = 12;
+    const auto udg = test::connected_udg(60, 220.0, kRadius, 71);
+    ASSERT_GT(udg.node_count(), 0u);
+    const std::size_t n = udg.node_count();
+    engine::SpannerEngine engine(
+        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    SpannerService service(engine, udg.points(), kRadius);
+
+    rnd::Xoshiro256 rng(19);
+    std::vector<dynamic::UpdateBatch> batches;
+    std::vector<std::vector<geom::Point>> positions{udg.points()};  // by version
+    for (std::size_t k = 0; k < kBatches; ++k) {
+        batches.push_back(make_batch(rng, n, udg.points(), 4));
+        positions.push_back(positions.back());
+        for (const auto& mv : batches.back().moves) positions.back()[mv.node] = mv.to;
+    }
+
+    struct Held {
+        SnapshotHandle snap;
+        std::uint64_t digest_at_acquire;
+    };
+    std::vector<Held> held;
+    std::atomic<std::size_t> held_count{0};
+    std::atomic<bool> done{false};
+    std::atomic<bool> reader_failed{false};
+    std::string reader_error;
+    std::thread reader([&] {
+        while (!done.load()) {
+            SnapshotHandle snap = service.snapshot();
+            if (held.empty() || snap->version != held.back().snap->version) {
+                held.push_back({snap, digest(*snap)});
+                held_count.store(held.size());
+            }
+            // Re-read an older version while the worker patches.
+            const Held& old = held[held.size() / 2];
+            if (digest(*old.snap) != old.digest_at_acquire) {
+                reader_error = "snapshot v" + std::to_string(old.snap->version) + " changed";
+                reader_failed = true;
+                return;
+            }
+        }
+    });
+    // Batch k goes in only once the reader holds versions 0..k, so every
+    // version is held while later ones land.
+    const auto await_held = [&](std::size_t count) {
+        while (held_count.load() < count && !reader_failed.load()) std::this_thread::yield();
+    };
+    bool accepted = true;
+    for (std::size_t k = 0; k < kBatches; ++k) {
+        await_held(k + 1);
+        accepted = accepted && service.enqueue(batches[k]);
+    }
+    await_held(kBatches + 1);
+    done = true;
+    reader.join();
+    ASSERT_TRUE(accepted);
+    ASSERT_EQ(reader_error, "");
+
+    ASSERT_EQ(held.size(), kBatches + 1);
+    for (const Held& h : held) {
+        const std::uint64_t v = h.snap->version;
+        ASSERT_LE(v, kBatches);
+        EXPECT_EQ(digest(*h.snap), h.digest_at_acquire) << "v" << v;
+        const graph::GeometricGraph fresh = proximity::build_udg(positions[v], kRadius);
+        EXPECT_EQ(digest(*h.snap),
+                  digest(positions[v], fresh,
+                         test::reference_backbone(fresh, ClusterPolicy::kLowestId)))
+            << "v" << v;
+    }
+}
+
+// snapshot() never waits behind an apply: with the worker wedged inside
+// one, readers still get the previous version at once.
+TEST(SpannerService, SnapshotIsPromptWhileApplyIsWedged) {
+    const auto udg = test::connected_udg(40, 180.0, kRadius, 13);
+    ASSERT_GT(udg.node_count(), 0u);
+    engine::SpannerEngine engine(
+        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+    ServiceOptions options;
+    options.apply_hook = [&](const dynamic::UpdateBatch&) {
+        entered = true;
+        while (!release.load()) std::this_thread::yield();
+    };
+    SpannerService service(engine, udg.points(), kRadius, options);
+
+    rnd::Xoshiro256 rng(2);
+    ASSERT_TRUE(service.enqueue(make_batch(rng, udg.node_count(), udg.points(), 3)));
+    while (!entered.load()) std::this_thread::yield();
+
+    // Read on another thread, so a regression fails here instead of
+    // deadlocking the test against the wedged worker.
+    auto pending = std::async(std::launch::async,
+                              [&] { return std::pair(service.snapshot(), service.stats()); });
+    const bool prompt = pending.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+    release = true;
+    EXPECT_TRUE(prompt) << "snapshot()/stats() waited for the wedged apply";
+    const auto [during, stats] = pending.get();
+    EXPECT_EQ(during->version, 0u);
+    EXPECT_EQ(during->points, udg.points());
+    EXPECT_EQ(stats.version, 0u);
+    EXPECT_EQ(stats.batches_applied, 0u);
+
+    service.drain();
+    EXPECT_EQ(service.snapshot()->version, 1u);
+    EXPECT_EQ(snapshot_divergence(*during), "");
 }
 
 }  // namespace

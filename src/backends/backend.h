@@ -88,7 +88,9 @@ class SpannerBackend {
 
     /// Builds from raw node positions: constructs the UDG, then the
     /// spanner. Backends may override to fuse the stages (the engine
-    /// backend runs its own staged UDG construction).
+    /// backend runs its own staged UDG construction). Throws
+    /// std::invalid_argument (core::validate_input) before any work on
+    /// a non-finite coordinate or a non-finite or negative radius.
     [[nodiscard]] virtual BackendResult build_points(std::vector<geom::Point> points,
                                                      double radius);
 };

@@ -10,12 +10,14 @@
 #include "backends/biniaz.h"
 #include "backends/engine_backend.h"
 #include "backends/kanj_perkovic.h"
+#include "core/input.h"
 #include "proximity/udg.h"
 
 namespace geospanner::backends {
 
 BackendResult SpannerBackend::build_points(std::vector<geom::Point> points,
                                            double radius) {
+    core::validate_input(points, radius);
     const auto start = std::chrono::steady_clock::now();
     const auto udg = proximity::build_udg(std::move(points), radius);
     const double udg_ms =

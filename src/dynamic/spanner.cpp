@@ -1,16 +1,19 @@
 #include "dynamic/spanner.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <stdexcept>
 #include <string>
 
+#include "core/input.h"
 #include "engine/thread_pool.h"
-#include "geom/predicates.h"
+#include "protocol/clustering.h"
+#include "protocol/connectors.h"
+#include "proximity/classic.h"
 
 namespace geospanner::dynamic {
 
@@ -30,44 +33,14 @@ std::uint64_t mix64(std::uint64_t z) noexcept {
     return z ^ (z >> 31);
 }
 
-bool sorted_insert(std::vector<graph::NodeId>& list, graph::NodeId value) {
-    const auto it = std::lower_bound(list.begin(), list.end(), value);
-    if (it != list.end() && *it == value) return false;
-    list.insert(it, value);
-    return true;
-}
-
-void sort_unique(std::vector<graph::NodeId>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-void sort_unique_pairs(std::vector<std::pair<graph::NodeId, graph::NodeId>>& v) {
+template <typename T>
+void sort_unique(std::vector<T>& v) {
     std::sort(v.begin(), v.end());
     v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 std::pair<graph::NodeId, graph::NodeId> norm(graph::NodeId a, graph::NodeId b) {
     return {std::min(a, b), std::max(a, b)};
-}
-
-/// Election ranking of the clustering cascade — must match
-/// protocol::key_of exactly: kLowestId ranks by id, kHighestDegree by
-/// inverted degree then id. Keys are static for the duration of one
-/// patch (degrees are fixed once stage_udg finished), so the worklist
-/// processes nodes in a globally consistent order.
-struct ClusterKey {
-    std::size_t primary = 0;
-    graph::NodeId id = 0;
-    friend auto operator<=>(const ClusterKey&, const ClusterKey&) = default;
-};
-
-ClusterKey cluster_key(const GeometricGraph& udg, graph::NodeId v,
-                       protocol::ClusterPolicy policy) {
-    if (policy == protocol::ClusterPolicy::kHighestDegree) {
-        return {udg.node_count() - udg.degree(v), v};
-    }
-    return {0, v};
 }
 
 /// Wall-clock of one stage kernel, appended to the patch's PipelineStats.
@@ -117,33 +90,8 @@ bool DynamicSpanner::EdgeRefs::dec(Pair e) {
     return true;
 }
 
-void DynamicSpanner::PatchContext::reset(std::size_t n) {
-    moved.clear();
-    moved_flag.assign(n, 0);
-    joined.clear();
-    adj_changed.clear();
-    adj_changed_flag.assign(n, 0);
-    udg_added.clear();
-    udg_removed.clear();
-    udg_removed_adj.clear();
-    roles_changed.clear();
-    old_role.clear();
-    dom_list_changed.clear();
-    old_dominators.clear();
-    two_hop_changed.clear();
-    connector_changed.clear();
-    backbone_changed.clear();
-    icds_added.clear();
-    icds_removed.clear();
-    icds_adj_changed_flag.assign(n, 0);
-    icds_adj_changed.clear();
-    icds_removed_adj.clear();
-    ldel_dirty.clear();
-    kept_added.clear();
-    kept_removed.clear();
-    dirty_union.assign(n, 0);
-    dirty_count = 0;
-}
+DynamicSpanner::PatchContext::PatchContext(std::size_t n)
+    : moved_flag(n, 0), dirty_union(n, 0) {}
 
 void DynamicSpanner::PatchContext::touch(NodeId v) {
     if (dirty_union[v] != 0) return;
@@ -156,14 +104,12 @@ std::string validate_batch(const UpdateBatch& batch, std::size_t node_count) {
         if (mv.node >= node_count) {
             return "move targets nonexistent node " + std::to_string(mv.node);
         }
-        if (!std::isfinite(mv.to.x) || !std::isfinite(mv.to.y)) {
+        if (!core::input_error({&mv.to, 1}).empty()) {
             return "non-finite move coordinate for node " + std::to_string(mv.node);
         }
     }
-    for (const geom::Point p : batch.joins) {
-        if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
-            return "non-finite join coordinate";
-        }
+    if (std::string error = core::input_error(batch.joins); !error.empty()) {
+        return "join: " + error;
     }
     std::size_t count = node_count + batch.joins.size();
     for (const graph::NodeId leaver : batch.leaves) {
@@ -180,7 +126,8 @@ std::string validate_batch(const UpdateBatch& batch, std::size_t node_count) {
 DynamicSpanner::DynamicSpanner(engine::SpannerEngine& engine,
                                std::vector<geom::Point> points, double radius)
     : engine_(&engine), radius_(radius), points_(std::move(points)) {
-    assert(radius_ > 0.0);
+    core::validate_input(points_, radius_);
+    if (radius_ == 0.0) throw std::invalid_argument("radius must be positive");
     PatchStats stats;
     rebuild_from_scratch(stats);
 }
@@ -236,8 +183,7 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
     backbone_.ldel_icds = GeometricGraph(points_);
     backbone_.ldel_icds_prime = GeometricGraph(points_);
 
-    pairs_a_.clear();
-    pairs_b_.clear();
+    for (PairLedger& ledger : ledgers_) ledger.clear();
     connector_refs_.assign(n, 0);
     cds_refs_.clear();
     local_tris_.assign(n, {});
@@ -253,15 +199,13 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
 
     // Everything dirty: the patch kernels then perform the full build,
     // so the from-scratch and incremental paths share one code path.
-    PatchContext ctx;
-    ctx.reset(n);
+    PatchContext ctx(n);
     ctx.moved.reserve(n);
     ctx.adj_changed.reserve(n);
     for (NodeId v = 0; v < n; ++v) {
         ctx.moved.push_back(v);
         ctx.moved_flag[v] = 1;
         ctx.adj_changed.push_back(v);
-        ctx.adj_changed_flag[v] = 1;
         ctx.touch(v);
     }
 
@@ -270,34 +214,7 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
         (void)run_cluster_cascade(ctx, /*cap=*/static_cast<std::size_t>(-1));
         t.finish(n);
     }
-    {
-        StageTimer t(stats.pipeline, "connectors-patch");
-        stage_connectors(ctx);
-        t.finish(ctx.pairs_recomputed());
-    }
-    {
-        StageTimer t(stats.pipeline, "icds-patch");
-        stage_icds(ctx);
-        t.finish(ctx.backbone_changed.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "ldel-patch");
-        stage_ldel(ctx, stats);
-        t.finish(ctx.ldel_dirty.size(), engine_->thread_count());
-    }
-    {
-        StageTimer t(stats.pipeline, "gabriel-patch");
-        stage_gabriel(ctx);
-        t.finish(backbone_.icds.edge_count(), engine_->thread_count());
-    }
-    {
-        StageTimer t(stats.pipeline, "assemble-patch");
-        stage_assemble(ctx);
-        t.finish(ctx.dom_list_changed.size());
-    }
-
-    stats.dirty_nodes = n;
-    stats.roles_changed = ctx.roles_changed.size();
+    run_stages_from_connectors(ctx, {DirtyComponent{build_c2(ctx), {}, false}}, stats);
 }
 
 // ---- apply -----------------------------------------------------------
@@ -308,10 +225,7 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     }
     PatchStats stats;
     const engine::EngineOptions& opts = engine_->options();
-    const bool incremental_ok = opts.incremental &&
-                                opts.planarizer == core::Planarizer::kLdel1 &&
-                                batch.leaves.empty();
-    if (!incremental_ok) {
+    if (opts.planarizer != core::Planarizer::kLdel1 || !batch.leaves.empty()) {
         apply_positions_only(batch);
         rebuild_from_scratch(stats);
         stats.fell_back = true;
@@ -319,8 +233,7 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     }
 
     const std::size_t n_after = points_.size() + batch.joins.size();
-    PatchContext ctx;
-    ctx.reset(n_after);
+    PatchContext ctx(n_after);
 
     {
         StageTimer t(stats.pipeline, "udg-patch");
@@ -402,6 +315,14 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
         stats.fell_back = true;
         return stats;
     }
+    run_stages_from_connectors(ctx, comps, stats);
+    stats.pairs_recomputed = ctx.pairs_recomputed();
+    return stats;
+}
+
+void DynamicSpanner::run_stages_from_connectors(PatchContext& ctx,
+                                                const std::vector<DirtyComponent>& comps,
+                                                PatchStats& stats) {
     {
         StageTimer t(stats.pipeline, "connectors-patch");
         stage_connectors_componentwise(ctx, comps);
@@ -428,11 +349,8 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
         stage_assemble(ctx);
         t.finish(ctx.dom_list_changed.size());
     }
-
     stats.dirty_nodes = ctx.dirty_count;
     stats.roles_changed = ctx.roles_changed.size();
-    stats.pairs_recomputed = ctx.pairs_recomputed();
-    return stats;
 }
 
 // ---- Stage U: positions, grid, UDG edge deltas -----------------------
@@ -474,11 +392,8 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
     affected.insert(affected.end(), ctx.joined.begin(), ctx.joined.end());
     sort_unique(affected);
     const auto mark_adj = [&](NodeId v) {
-        if (ctx.adj_changed_flag[v] == 0) {
-            ctx.adj_changed_flag[v] = 1;
-            ctx.adj_changed.push_back(v);
-            ctx.touch(v);
-        }
+        ctx.adj_changed.push_back(v);  // deduplicated once the splice is done
+        ctx.touch(v);
     };
     // Grid queries are pure reads of the settled grid + positions, so
     // the desired lists collect in parallel; the edge splice below
@@ -525,8 +440,8 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
         }
     }
     sort_unique(ctx.adj_changed);
-    sort_unique_pairs(ctx.udg_added);
-    sort_unique_pairs(ctx.udg_removed);
+    sort_unique(ctx.udg_added);
+    sort_unique(ctx.udg_removed);
     for (auto& [v, list] : ctx.udg_removed_adj) sort_unique(list);
 }
 
@@ -539,8 +454,9 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     // Seeds: every node whose role-function inputs changed — its own
     // neighbor set (adj_changed, joins), and under kHighestDegree the
     // keys of its neighbors (degree changes propagate one hop).
-    std::set<ClusterKey> worklist;
-    const auto seed = [&](NodeId v) { worklist.insert(cluster_key(udg_, v, policy)); };
+    std::set<protocol::ClusterKey> worklist;
+    const auto key_of = [&](NodeId v) { return protocol::cluster_key(udg_, v, policy); };
+    const auto seed = [&](NodeId v) { worklist.insert(key_of(v)); };
     for (const NodeId v : ctx.adj_changed) seed(v);
     for (const NodeId v : ctx.joined) seed(v);
     if (policy == protocol::ClusterPolicy::kHighestDegree) {
@@ -556,13 +472,12 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     // roles of all key-smaller nodes — the defining property of the
     // greedy order, which makes the localized cascade exact.
     while (!worklist.empty()) {
-        const ClusterKey key = *worklist.begin();
+        const protocol::ClusterKey key = *worklist.begin();
         worklist.erase(worklist.begin());
         const NodeId v = key.id;
         bool dominated = false;
         for (const NodeId u : udg_.neighbors(v)) {
-            if (cluster.role[u] == Role::kDominator &&
-                cluster_key(udg_, u, policy) < key) {
+            if (cluster.role[u] == Role::kDominator && key_of(u) < key) {
                 dominated = true;
                 break;
             }
@@ -574,9 +489,7 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
         ctx.roles_changed.push_back(v);
         if (ctx.roles_changed.size() > cap) return false;
         for (const NodeId u : udg_.neighbors(v)) {
-            if (cluster_key(udg_, u, policy) > key) {
-                worklist.insert(cluster_key(udg_, u, policy));
-            }
+            if (key_of(u) > key) worklist.insert(key_of(u));
         }
     }
     sort_unique(ctx.roles_changed);
@@ -594,12 +507,7 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     sort_unique(dom_recompute);
     std::vector<NodeId> fresh;
     for (const NodeId v : dom_recompute) {
-        fresh.clear();
-        if (cluster.role[v] == Role::kDominatee) {
-            for (const NodeId u : udg_.neighbors(v)) {
-                if (cluster.role[u] == Role::kDominator) fresh.push_back(u);
-            }
-        }
+        protocol::derive_dominators(udg_, cluster.role, v, fresh);
         const auto old = cluster.dominators_of[v];
         if (!std::ranges::equal(fresh, old)) {
             ctx.old_dominators.emplace(v, std::vector<NodeId>(old.begin(), old.end()));
@@ -622,13 +530,7 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     }
     sort_unique(two_hop_recompute);
     for (const NodeId v : two_hop_recompute) {
-        fresh.clear();
-        for (const NodeId w : udg_.neighbors(v)) {
-            if (cluster.role[w] != Role::kDominatee) continue;
-            for (const NodeId d : cluster.dominators_of[w]) {
-                if (d != v && !udg_.has_edge(v, d)) sorted_insert(fresh, d);
-            }
-        }
+        protocol::derive_two_hop_dominators(udg_, cluster, v, fresh);
         if (!std::ranges::equal(fresh, cluster.two_hop_dominators_of[v])) {
             cluster.two_hop_dominators_of.assign(v, fresh);
             ctx.two_hop_changed.push_back(v);
@@ -639,17 +541,6 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
 }
 
 // ---- Stage 2: connector pair elections -------------------------------
-
-bool DynamicSpanner::wins(NodeId w, const std::vector<NodeId>& candidates) const {
-    // Matches find_connectors: w wins iff no smaller-id candidate of
-    // the same pair is UDG-adjacent to it. Candidate lists are built in
-    // ascending id order, so the scan stops at w.
-    for (const NodeId c : candidates) {
-        if (c >= w) break;
-        if (udg_.has_edge(c, w)) return false;
-    }
-    return true;
-}
 
 bool DynamicSpanner::delete_pair(PairLedger& ledger, Pair key,
                                  std::vector<NodeId>& conn_touched) {
@@ -668,8 +559,6 @@ bool DynamicSpanner::delete_pair(PairLedger& ledger, Pair key,
 void DynamicSpanner::commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome,
                                  std::vector<NodeId>& conn_touched) {
     if (outcome.connectors.empty() && outcome.edges.empty()) return;
-    sort_unique(outcome.connectors);
-    sort_unique_pairs(outcome.edges);
     for (const NodeId c : outcome.connectors) {
         if (connector_refs_[c]++ == 0) conn_touched.push_back(c);
     }
@@ -800,17 +689,15 @@ void DynamicSpanner::plan_connectors(const PatchContext& ctx,
     std::vector<std::pair<int, Pair>> deletions;
     for (const NodeId d : dirty_dominators) {
         for (const int which : {0, 1}) {
-            const PairLedger& ledger = which == 0 ? pairs_a_ : pairs_b_;
-            const auto idx = ledger.by_node.find(d);
-            if (idx == ledger.by_node.end()) continue;
+            const auto idx = ledgers_[which].by_node.find(d);
+            if (idx == ledgers_[which].by_node.end()) continue;
             for (const Pair& key : idx->second) deletions.emplace_back(which, key);
         }
     }
 
     // Re-elect every pair with a recompute-dominator endpoint. All its
-    // candidate generators w lie within 2 hops of that endpoint, so one
-    // ascending scan of W2 rebuilds the candidate lists in the same
-    // node-id order find_connectors produces.
+    // candidate generators w lie within 2 hops of that endpoint, so the
+    // election kernel's scan of W2 rebuilds its complete candidate list.
     std::vector<NodeId> rec;
     std::vector<char> rec_flag(points_.size(), 0);
     for (const NodeId d : dirty_dominators) {
@@ -819,133 +706,44 @@ void DynamicSpanner::plan_connectors(const PatchContext& ctx,
             rec_flag[d] = 1;
         }
     }
-    const auto w2 = expand_hops(udg_, ctx.udg_removed_adj, rec, 2);
-
-    // Candidate lists as flat (pair, w) tuples grouped by a stable sort
-    // — the w2 scan emits w ascending, so each group keeps the ascending
-    // candidate order the elections expect, without per-pair map nodes.
-    std::vector<std::pair<Pair, NodeId>> cand_a;
-    std::vector<std::pair<Pair, NodeId>> cand_b;
-    for (const NodeId w : w2) {
-        const auto& doms = cluster.dominators_of[w];
-        for (std::size_t i = 0; i < doms.size(); ++i) {
-            for (std::size_t j = i + 1; j < doms.size(); ++j) {
-                if (rec_flag[doms[i]] != 0 || rec_flag[doms[j]] != 0) {
-                    cand_a.push_back({{doms[i], doms[j]}, w});
-                }
-            }
-        }
-        for (const NodeId u : doms) {
-            for (const NodeId v : cluster.two_hop_dominators_of[w]) {
-                if (rec_flag[u] != 0 || rec_flag[v] != 0) {
-                    cand_b.push_back({{u, v}, w});
-                }
-            }
-        }
-    }
-    const auto by_pair = [](const std::pair<Pair, NodeId>& a,
-                            const std::pair<Pair, NodeId>& b) {
-        return a.first < b.first;
-    };
-    std::stable_sort(cand_a.begin(), cand_a.end(), by_pair);
-    std::stable_sort(cand_b.begin(), cand_b.end(), by_pair);
+    const protocol::ConnectorCandidates cands = protocol::collect_candidates(
+        cluster, expand_hops(udg_, ctx.udg_removed_adj, rec, 2), rec_flag);
 
     // A re-elected outcome identical to the pair's retained ledger
     // entry makes its delete + recommit a refcount no-op: record the
-    // key as retained (ascending — groups iterate in pair order) and
-    // emit neither. Ledger outcomes are stored deduplicated, so the
-    // comparison needs the planned outcome in the same form.
-    std::vector<Pair> retained_a;
-    std::vector<Pair> retained_b;
-    const auto settle = [](PairOutcome& outcome) {
-        sort_unique(outcome.connectors);
-        sort_unique_pairs(outcome.edges);
-    };
-    const auto unchanged = [](const PairLedger& ledger, Pair key,
-                              const PairOutcome& outcome) {
-        const auto it = ledger.entries.find(key);
-        return it != ledger.entries.end() &&
-               it->second.connectors == outcome.connectors &&
-               it->second.edges == outcome.edges;
-    };
-
-    // Phase A: dominators two hops apart, unordered pairs.
-    std::vector<NodeId> candidates;
-    for (std::size_t lo = 0; lo < cand_a.size();) {
-        const Pair pair = cand_a[lo].first;
-        candidates.clear();
-        for (; lo < cand_a.size() && cand_a[lo].first == pair; ++lo) {
-            candidates.push_back(cand_a[lo].second);
-        }
-        ++plan.pairs_reelected;
-        PairOutcome outcome;
-        for (const NodeId w : candidates) {
-            if (!wins(w, candidates)) continue;
-            outcome.connectors.push_back(w);
-            outcome.edges.push_back(norm(pair.first, w));
-            outcome.edges.push_back(norm(w, pair.second));
-        }
-        settle(outcome);
-        if (unchanged(pairs_a_, pair, outcome)) {
-            retained_a.push_back(pair);
-            ++plan.pairs_retained;
-            continue;
-        }
-        plan.commits_a.emplace_back(pair, std::move(outcome));
-    }
-
-    // Phases B+C: ordered pairs (u, v) three hops apart — first-leg
-    // winners among u's dominatees, then the second-leg election among
-    // v's dominatees audible from a first-leg winner.
-    for (std::size_t lo = 0; lo < cand_b.size();) {
-        const Pair pair = cand_b[lo].first;
-        candidates.clear();
-        for (; lo < cand_b.size() && cand_b[lo].first == pair; ++lo) {
-            candidates.push_back(cand_b[lo].second);
-        }
-        ++plan.pairs_reelected;
-        PairOutcome outcome;
-        std::vector<NodeId> winners;
-        for (const NodeId w : candidates) {
-            if (!wins(w, candidates)) continue;
-            winners.push_back(w);
-            outcome.connectors.push_back(w);
-            outcome.edges.push_back(norm(pair.first, w));
-        }
-        if (!winners.empty()) {
-            std::set<NodeId> second;
-            std::map<NodeId, std::vector<NodeId>> audible;
-            for (const NodeId w : winners) {
-                for (const NodeId x : udg_.neighbors(w)) {
-                    const auto& doms = cluster.dominators_of[x];
-                    if (std::binary_search(doms.begin(), doms.end(), pair.second)) {
-                        second.insert(x);
-                        audible[x].push_back(w);
-                    }
-                }
+    // key as retained (ascending — groups come in pair order) and emit
+    // neither. The kernel settles outcomes into the ledger's form.
+    std::array<std::vector<Pair>, 2> retained;
+    protocol::PairElection election;
+    const auto plan_groups = [&](int which, const protocol::PairGroups& groups) {
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            const Pair pair = groups.pairs[g];
+            if (which == 0) {
+                protocol::elect_two_hop(udg_, pair, groups.candidates(g), election);
+            } else {
+                protocol::elect_three_hop(udg_, cluster, pair, groups.candidates(g),
+                                          election);
             }
-            const std::vector<NodeId> second_candidates(second.begin(), second.end());
-            for (const NodeId x : second_candidates) {
-                if (!wins(x, second_candidates)) continue;
-                outcome.connectors.push_back(x);
-                outcome.edges.push_back(norm(x, pair.second));
-                for (const NodeId w : audible[x]) outcome.edges.push_back(norm(x, w));
+            ++plan.pairs_reelected;
+            const auto it = ledgers_[which].entries.find(pair);
+            if (it != ledgers_[which].entries.end() &&
+                it->second.connectors == election.connectors &&
+                it->second.edges == election.edges) {
+                retained[which].push_back(pair);
+                continue;
             }
+            plan.commits.push_back({which, pair, {election.connectors, election.edges}});
         }
-        settle(outcome);
-        if (unchanged(pairs_b_, pair, outcome)) {
-            retained_b.push_back(pair);
-            ++plan.pairs_retained;
-            continue;
-        }
-        plan.commits_b.emplace_back(pair, std::move(outcome));
-    }
+    };
+    plan_groups(0, cands.two_hop);
+    plan_groups(1, cands.three_hop);
 
     // Deletions, minus the retained keys.
     plan.deletions.reserve(deletions.size());
     for (const auto& [which, key] : deletions) {
-        const auto& retained = which == 0 ? retained_a : retained_b;
-        if (std::binary_search(retained.begin(), retained.end(), key)) continue;
+        if (std::binary_search(retained[which].begin(), retained[which].end(), key)) {
+            continue;
+        }
         plan.deletions.emplace_back(which, key);
     }
 }
@@ -955,18 +753,14 @@ void DynamicSpanner::commit_connector_plan(ConnectorPlan& plan, PatchContext& ct
     for (const NodeId v : plan.touched) ctx.touch(v);
     // A pair with both endpoints dirty in the same component is planned
     // for deletion twice; delete_pair is idempotent and only real
-    // deletions count (matching the monolithic path, where the first
-    // deletion removed the pair from the second endpoint's index).
+    // deletions count.
     std::size_t deleted = 0;
     for (const auto& [which, key] : plan.deletions) {
-        PairLedger& ledger = which == 0 ? pairs_a_ : pairs_b_;
-        if (delete_pair(ledger, key, conn_touched)) ++deleted;
+        if (delete_pair(ledgers_[which], key, conn_touched)) ++deleted;
     }
-    for (auto& [key, outcome] : plan.commits_a) {
-        commit_pair(pairs_a_, key, std::move(outcome), conn_touched);
-    }
-    for (auto& [key, outcome] : plan.commits_b) {
-        commit_pair(pairs_b_, key, std::move(outcome), conn_touched);
+    for (auto& commit : plan.commits) {
+        commit_pair(ledgers_[commit.ledger], commit.key, std::move(commit.outcome),
+                    conn_touched);
     }
     ctx.pairs_deleted += deleted;
     ctx.pairs_reelected += plan.pairs_reelected;
@@ -985,14 +779,6 @@ void DynamicSpanner::settle_connector_flags(std::vector<NodeId>& conn_touched,
     }
 }
 
-void DynamicSpanner::stage_connectors(PatchContext& ctx) {
-    ConnectorPlan plan;
-    plan_connectors(ctx, build_c2(ctx), plan);
-    std::vector<NodeId> conn_touched;
-    commit_connector_plan(plan, ctx, conn_touched);
-    settle_connector_flags(conn_touched, ctx);
-}
-
 void DynamicSpanner::stage_connectors_componentwise(
     PatchContext& ctx, const std::vector<DirtyComponent>& comps) {
     // Plans are read-only against the frozen state and component
@@ -1000,7 +786,8 @@ void DynamicSpanner::stage_connectors_componentwise(
     // mutate the shared ledgers/refcounts/graphs and run serially in
     // deterministic component order. Disjointness makes the serial
     // commit order immaterial to the result — the output is
-    // edge-identical to the monolithic path at any thread count.
+    // edge-identical to planning all seeds as one component (what
+    // rebuild_from_scratch does) at any thread count.
     std::vector<ConnectorPlan> plans(comps.size());
     const auto body = [&](std::size_t i) {
         plan_connectors(ctx, comps[i].seeds, plans[i]);
@@ -1020,26 +807,14 @@ void DynamicSpanner::stage_connectors_componentwise(
 void DynamicSpanner::icds_edge_added(NodeId u, NodeId v, PatchContext& ctx) {
     const Pair e = norm(u, v);
     ctx.icds_added.push_back(e);
-    for (const NodeId x : {u, v}) {
-        if (ctx.icds_adj_changed_flag[x] == 0) {
-            ctx.icds_adj_changed_flag[x] = 1;
-            ctx.icds_adj_changed.push_back(x);
-        }
-    }
+    ctx.icds_adj_changed.insert(ctx.icds_adj_changed.end(), {u, v});
     if (icds_prime_refs_.inc(e)) backbone_.icds_prime.add_edge(e.first, e.second);
 }
 
 void DynamicSpanner::icds_edge_removed(NodeId u, NodeId v, PatchContext& ctx) {
     const Pair e = norm(u, v);
     ctx.icds_removed.push_back(e);
-    ctx.icds_removed_adj[u].push_back(v);
-    ctx.icds_removed_adj[v].push_back(u);
-    for (const NodeId x : {u, v}) {
-        if (ctx.icds_adj_changed_flag[x] == 0) {
-            ctx.icds_adj_changed_flag[x] = 1;
-            ctx.icds_adj_changed.push_back(x);
-        }
-    }
+    ctx.icds_adj_changed.insert(ctx.icds_adj_changed.end(), {u, v});
     if (icds_prime_refs_.dec(e)) backbone_.icds_prime.remove_edge(e.first, e.second);
 }
 
@@ -1089,9 +864,8 @@ void DynamicSpanner::stage_icds(PatchContext& ctx) {
         }
     }
     sort_unique(ctx.icds_adj_changed);
-    sort_unique_pairs(ctx.icds_added);
-    sort_unique_pairs(ctx.icds_removed);
-    for (auto& [v, list] : ctx.icds_removed_adj) sort_unique(list);
+    sort_unique(ctx.icds_added);
+    sort_unique(ctx.icds_removed);
 }
 
 // ---- Stage 4: LDel¹ triangles + Algorithm-3 survival -----------------
@@ -1124,41 +898,34 @@ void DynamicSpanner::tri_remove(TriangleKey t) {
     tri_bins_.erase(it);
 }
 
-bool DynamicSpanner::removed_by_partner(TriangleKey t, TriangleKey r) const {
-    // Algorithm 3's pairwise rule, oriented for "does r remove t":
-    // remove the triangle whose circumcircle strictly contains a vertex
-    // of the other; when neither test fires on an intersecting pair
-    // (exactly cocircular corners), remove the larger key — matching
-    // Alg3Filter's deterministic tie-break.
-    if (!proximity::triangles_intersect(backbone_.icds, t, r)) return false;
-    if (proximity::circumcircle_contains_vertex_of(backbone_.icds, t, r)) return true;
-    if (proximity::circumcircle_contains_vertex_of(backbone_.icds, r, t)) return false;
-    return r < t;
-}
-
-bool DynamicSpanner::survives_alg3(TriangleKey t) const {
-    // Partner enumeration over the bbox buckets: every LDel¹ triangle
-    // has sides <= radius, so any partner's min corner lies within one
-    // cell (= radius) below t's box and never above its max corner.
-    const TriBin bin = tri_bins_.at(t);
-    const auto lo = proximity::cell_of({bin.min_x - radius_, bin.min_y - radius_}, radius_);
-    const auto hi = proximity::cell_of({bin.max_x, bin.max_y}, radius_);
+template <typename Fn>
+bool DynamicSpanner::for_each_box_partner(const TriBin& box, Fn&& fn) const {
+    // Every LDel¹ triangle has sides <= radius, so any triangle whose
+    // box meets `box` has its min corner within one cell (= radius)
+    // below the box and never above its max corner.
+    const auto lo = proximity::cell_of({box.min_x - radius_, box.min_y - radius_}, radius_);
+    const auto hi = proximity::cell_of({box.max_x, box.max_y}, radius_);
     for (long long cx = lo.first; cx <= hi.first; ++cx) {
         for (long long cy = lo.second; cy <= hi.second; ++cy) {
             const auto it = tri_grid_.find({cx, cy});
             if (it == tri_grid_.end()) continue;
             for (const TriangleKey r : it->second) {
-                if (r == t) continue;
                 const TriBin& rb = tri_bins_.at(r);
-                if (rb.min_x > bin.max_x || rb.max_x < bin.min_x ||
-                    rb.min_y > bin.max_y || rb.max_y < bin.min_y) {
+                if (rb.min_x > box.max_x || rb.max_x < box.min_x ||
+                    rb.min_y > box.max_y || rb.max_y < box.min_y) {
                     continue;
                 }
-                if (removed_by_partner(t, r)) return false;
+                if (!fn(r)) return false;
             }
         }
     }
     return true;
+}
+
+bool DynamicSpanner::survives_alg3(TriangleKey t) const {
+    return for_each_box_partner(tri_bins_.at(t), [&](TriangleKey r) {
+        return r == t || !proximity::alg3_removed_by(backbone_.icds, t, r);
+    });
 }
 
 void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
@@ -1211,21 +978,15 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
         candidates.insert(candidates.end(), fresh[i].begin(), fresh[i].end());
         local_tris_[dirty[i]] = std::move(fresh[i]);
     }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
+    sort_unique(candidates);
 
     // Membership delta + bbox re-binning. `touched_boxes` collects the
     // old and new extents of every added/removed/moved triangle; any
     // retained triangle whose box meets one of them must re-run its
     // survival test.
-    const auto in_local = [&](NodeId v, TriangleKey t) {
-        const auto& list = local_tris_[v];
-        return std::binary_search(list.begin(), list.end(), t);
-    };
     std::vector<TriBin> touched_boxes;
     for (const TriangleKey t : candidates) {
-        const bool now = in_local(t.a, t) && in_local(t.b, t) && in_local(t.c, t);
+        const bool now = proximity::ldel1_member(local_tris_, t);
         const bool was = ldel1_.contains(t);
         if (now && !was) {
             ldel1_.insert(t);
@@ -1259,26 +1020,12 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     // within one cell below the box).
     std::vector<TriangleKey> retest;
     for (const TriBin& box : touched_boxes) {
-        const auto lo =
-            proximity::cell_of({box.min_x - radius_, box.min_y - radius_}, radius_);
-        const auto hi = proximity::cell_of({box.max_x, box.max_y}, radius_);
-        for (long long cx = lo.first; cx <= hi.first; ++cx) {
-            for (long long cy = lo.second; cy <= hi.second; ++cy) {
-                const auto it = tri_grid_.find({cx, cy});
-                if (it == tri_grid_.end()) continue;
-                for (const TriangleKey r : it->second) {
-                    const TriBin& rb = tri_bins_.at(r);
-                    if (rb.min_x > box.max_x || rb.max_x < box.min_x ||
-                        rb.min_y > box.max_y || rb.max_y < box.min_y) {
-                        continue;
-                    }
-                    retest.push_back(r);
-                }
-            }
-        }
+        for_each_box_partner(box, [&](TriangleKey r) {
+            retest.push_back(r);
+            return true;
+        });
     }
-    std::sort(retest.begin(), retest.end());
-    retest.erase(std::unique(retest.begin(), retest.end()), retest.end());
+    sort_unique(retest);
     stats.triangles_retested += retest.size();
 
     std::vector<char> survives(retest.size(), 0);
@@ -1330,32 +1077,12 @@ void DynamicSpanner::stage_gabriel(PatchContext& ctx) {
             if (u < v || in_dirty[v] == 0) dirty_edges.push_back(norm(u, v));
         }
     }
-    sort_unique_pairs(dirty_edges);
+    sort_unique(dirty_edges);
 
     std::vector<char> in_gabriel(dirty_edges.size(), 0);
     const auto body = [&](std::size_t i) {
         const auto [u, v] = dirty_edges[i];
-        const auto nu = backbone_.icds.neighbors(u);
-        const auto nv = backbone_.icds.neighbors(v);
-        bool blocked = false;
-        std::size_t a = 0;
-        std::size_t b = 0;
-        while (a < nu.size() && b < nv.size() && !blocked) {
-            if (nu[a] < nv[b]) {
-                ++a;
-            } else if (nu[a] > nv[b]) {
-                ++b;
-            } else {
-                // Closed-disk witness rule, matching build_gabriel.
-                if (geom::in_diametral_circle(points_[u], points_[v],
-                                              points_[nu[a]]) >= 0) {
-                    blocked = true;
-                }
-                ++a;
-                ++b;
-            }
-        }
-        in_gabriel[i] = blocked ? 0 : 1;
+        in_gabriel[i] = proximity::is_gabriel_edge(backbone_.icds, u, v) ? 1 : 0;
     };
     if (dirty_edges.size() >= kParallelThreshold) {
         engine_->pool().parallel_for(0, dirty_edges.size(), body);

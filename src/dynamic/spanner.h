@@ -43,6 +43,7 @@
 // code path and one correctness argument.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <set>
@@ -119,11 +120,13 @@ struct PatchStats {
 
 /// A maintained (UDG, Backbone) pair under point updates. The engine
 /// reference supplies the ThreadPool for the bulk kernels and the
-/// options (cluster policy, incremental gate, fallback fraction).
+/// options (cluster policy, rebuild gates, merge margin).
 /// Incremental patching supports the paper's default kLdel1 planarizer;
 /// kLdel2 configurations take the full-rebuild path on every batch.
 class DynamicSpanner {
   public:
+    /// Builds the initial state. Throws std::invalid_argument when a
+    /// coordinate is not finite or `radius` is not finite and positive.
     DynamicSpanner(engine::SpannerEngine& engine, std::vector<geom::Point> points,
                    double radius);
 
@@ -178,9 +181,9 @@ class DynamicSpanner {
         std::vector<Pair> edges;
     };
 
-    /// One connector-election ledger (phase A uses unordered pairs,
-    /// phases B+C ordered pairs) plus its node→pairs reverse index for
-    /// O(dirty) deletion.
+    /// One connector-election ledger (two-hop elections use unordered
+    /// pairs, three-hop elections ordered pairs) plus its node→pairs
+    /// reverse index for O(dirty) deletion.
     struct PairLedger {
         std::map<Pair, PairOutcome> entries;
         std::unordered_map<NodeId, std::set<Pair>> by_node;
@@ -199,7 +202,6 @@ class DynamicSpanner {
         std::vector<char> moved_flag;     ///< n-sized
         std::vector<NodeId> joined;       ///< sorted new ids
         std::vector<NodeId> adj_changed;  ///< sorted; endpoints of UDG edge deltas
-        std::vector<char> adj_changed_flag;
         std::vector<Pair> udg_added;
         std::vector<Pair> udg_removed;
         /// Removed-neighbor lists: adjacency of the *old* graph that the
@@ -223,9 +225,7 @@ class DynamicSpanner {
         std::vector<NodeId> backbone_changed;  ///< in_backbone flips
         std::vector<Pair> icds_added;
         std::vector<Pair> icds_removed;
-        std::vector<char> icds_adj_changed_flag;
-        std::vector<NodeId> icds_adj_changed;
-        std::unordered_map<NodeId, std::vector<NodeId>> icds_removed_adj;
+        std::vector<NodeId> icds_adj_changed;  ///< sorted after the stage
 
         std::vector<NodeId> ldel_dirty;  ///< sorted; local triangle lists recomputed
         /// Alg3-survivor deltas, for the assembly stage's triangle-list
@@ -235,7 +235,7 @@ class DynamicSpanner {
         std::vector<char> dirty_union;  ///< union of all per-stage dirty nodes
         std::size_t dirty_count = 0;
 
-        void reset(std::size_t n);
+        explicit PatchContext(std::size_t n);  ///< flag vectors n-sized
         void touch(NodeId v);  ///< adds v to the dirty union
     };
 
@@ -257,17 +257,27 @@ class DynamicSpanner {
     /// no-op), so deletions/commits carry only actual changes.
     struct ConnectorPlan {
         std::vector<NodeId> touched;  ///< s2 — nodes to mark dirty
-        /// Ledger entries to drop: (0 = pairs_a_, 1 = pairs_b_, key).
+        /// Ledger entries to drop: (index into ledgers_, key).
         std::vector<std::pair<int, Pair>> deletions;
-        std::vector<std::pair<Pair, PairOutcome>> commits_a;
-        std::vector<std::pair<Pair, PairOutcome>> commits_b;
+        struct Commit {
+            int ledger;  ///< index into ledgers_
+            Pair key;
+            PairOutcome outcome;
+        };
+        std::vector<Commit> commits;
         std::size_t pairs_reelected = 0;  ///< candidate pairs considered
-        std::size_t pairs_retained = 0;   ///< unchanged outcomes skipped
     };
 
     // Stage kernels. Each reads the dirty inputs from `ctx`, patches the
     // retained state, and records what it invalidated for the next
-    // stage. rebuild_from_scratch() runs them with everything dirty.
+    // stage. rebuild_from_scratch() runs them with everything dirty (the
+    // connector stage as one component). The paper's rules come from
+    // the same functions the engine calls: protocol::cluster_key and
+    // derive_(two_hop_)dominators for the cascade, the protocol election
+    // kernel (collect_candidates, elect_two_hop, elect_three_hop) for
+    // connector planning, proximity::alg3_removed_by for Algorithm 3,
+    // and proximity::is_gabriel_edge for the Gabriel patch. What stays
+    // here is the dirty-set bookkeeping and the ledgers.
     void stage_udg(const UpdateBatch& batch, PatchContext& ctx);
     /// Role cascade + derived-list recompute; false → more than `cap`
     /// roles flipped, caller falls back to a full rebuild.
@@ -285,7 +295,9 @@ class DynamicSpanner {
     [[nodiscard]] std::vector<DirtyComponent> decompose_components(
         const PatchContext& ctx, const std::vector<NodeId>& c2,
         std::size_t merge_hops) const;
-    /// Read-only election planning for one component's seed slice.
+    /// Read-only election planning for one component's seed slice: the
+    /// election kernel over the W2 scan, filtered to pairs with a
+    /// recompute endpoint, diffed against the ledgers.
     void plan_connectors(const PatchContext& ctx, const std::vector<NodeId>& c2,
                          ConnectorPlan& plan) const;
     /// Applies one plan's deletions and commits (serial, deterministic).
@@ -293,13 +305,15 @@ class DynamicSpanner {
                                std::vector<NodeId>& conn_touched);
     /// Settles is_connector flags from the final refcounts.
     void settle_connector_flags(std::vector<NodeId>& conn_touched, PatchContext& ctx);
-    /// Monolithic path (full rebuild / single component): plan + commit
-    /// over the whole c2.
-    void stage_connectors(PatchContext& ctx);
-    /// Decomposed path: plans all components concurrently on the engine
-    /// pool, then commits them serially in component order.
+    /// Plans all components concurrently on the engine pool, then
+    /// commits them serially in component order.
     void stage_connectors_componentwise(PatchContext& ctx,
                                         const std::vector<DirtyComponent>& comps);
+    /// Connectors through assembly — the tail both apply() and
+    /// rebuild_from_scratch() run — then the dirty/role totals.
+    void run_stages_from_connectors(PatchContext& ctx,
+                                    const std::vector<DirtyComponent>& comps,
+                                    PatchStats& stats);
     void stage_icds(PatchContext& ctx);
     void stage_ldel(PatchContext& ctx, PatchStats& stats);
     void stage_gabriel(PatchContext& ctx);
@@ -315,7 +329,6 @@ class DynamicSpanner {
     bool delete_pair(PairLedger& ledger, Pair key, std::vector<NodeId>& conn_touched);
     void commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome,
                      std::vector<NodeId>& conn_touched);
-    [[nodiscard]] bool wins(NodeId w, const std::vector<NodeId>& candidates) const;
 
     // Triangle bookkeeping.
     struct TriBin {
@@ -325,7 +338,11 @@ class DynamicSpanner {
     [[nodiscard]] TriBin bin_of(TriangleKey t) const;
     void tri_insert(TriangleKey t);
     void tri_remove(TriangleKey t);
-    [[nodiscard]] bool removed_by_partner(TriangleKey t, TriangleKey r) const;
+    /// Calls fn(r) for every indexed triangle r whose box meets `box`
+    /// (a triangle meets its own box) until fn returns false; returns
+    /// false iff it stopped early.
+    template <typename Fn>
+    bool for_each_box_partner(const TriBin& box, Fn&& fn) const;
     [[nodiscard]] bool survives_alg3(TriangleKey t) const;
 
     [[nodiscard]] std::vector<NodeId> expand_hops(
@@ -350,8 +367,9 @@ class DynamicSpanner {
     core::Backbone backbone_;
 
     // Connector state: per-pair outcomes + aggregate refcounts.
-    PairLedger pairs_a_;  ///< phase A, unordered (min, max) dominator pairs
-    PairLedger pairs_b_;  ///< phases B+C, ordered (u, v) dominator pairs
+    /// [0]: two-hop elections, unordered (min, max) dominator pairs;
+    /// [1]: three-hop elections, ordered (u, v) dominator pairs.
+    std::array<PairLedger, 2> ledgers_;
     std::vector<int> connector_refs_;  ///< pairs electing each node
     EdgeRefs cds_refs_;
 

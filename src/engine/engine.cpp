@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdint>
+#include <numeric>
 #include <utility>
 
+#include "core/input.h"
 #include "protocol/clustering.h"
 #include "protocol/connectors.h"
 #include "proximity/cell_grid.h"
@@ -40,166 +41,61 @@ std::size_t stage_threads(const ThreadPool& pool) {
 
 // ---- Connector stage -------------------------------------------------
 //
-// Mirrors protocol::find_connectors with the per-candidate audibility
-// election evaluated in parallel: candidate lists per dominator pair are
-// flat (pair, candidate) entry vectors sorted and grouped by pair —
-// tree maps and per-pair node allocations were a measurable share of
-// the stage — each group's winners are decided independently, and
-// winners are merged back in pair order. The determinism tests assert
-// bit-identical ConnectorState.
-
-using DominatorPair = std::pair<NodeId, NodeId>;
-
-/// Candidates for many dominator pairs in one contiguous buffer:
-/// `entries` sorted by (pair, candidate), `offsets` delimiting the
-/// per-pair groups (group g = entries[offsets[g], offsets[g+1])).
-struct CandidateGroups {
-    std::vector<std::pair<DominatorPair, NodeId>> entries;
-    std::vector<std::uint32_t> offsets;
-
-    /// Sorts entries and rebuilds the group index. Entry lists are
-    /// duplicate-free ((pair, w) is pushed at most once per phase), so
-    /// the unstable sort is deterministic.
-    void finish() {
-        std::sort(entries.begin(), entries.end());
-        offsets.clear();
-        for (std::uint32_t i = 0; i < entries.size(); ++i) {
-            if (i == 0 || entries[i].first != entries[i - 1].first) offsets.push_back(i);
-        }
-        offsets.push_back(static_cast<std::uint32_t>(entries.size()));
-    }
-
-    [[nodiscard]] std::size_t group_count() const {
-        return offsets.empty() ? 0 : offsets.size() - 1;
-    }
-};
-
-/// Winners of every group: candidate w wins iff no smaller-id candidate
-/// for the same pair is UDG-adjacent. Candidates ascend within a group,
-/// so the beaten scan is exactly the prefix before w.
-std::vector<std::vector<NodeId>> elect_winners(ThreadPool& pool, const GeometricGraph& udg,
-                                               const CandidateGroups& groups) {
-    std::vector<std::vector<NodeId>> winners(groups.group_count());
-    pool.parallel_for(0, groups.group_count(), [&](std::size_t g) {
-        const std::uint32_t begin = groups.offsets[g];
-        const std::uint32_t end = groups.offsets[g + 1];
-        for (std::uint32_t k = begin; k < end; ++k) {
-            const NodeId w = groups.entries[k].second;
-            bool beaten = false;
-            for (std::uint32_t j = begin; j < k && !beaten; ++j) {
-                beaten = udg.has_edge(groups.entries[j].second, w);
-            }
-            if (!beaten) winners[g].push_back(w);
-        }
-    });
-    return winners;
-}
-
-void add_edge_once(std::vector<DominatorPair>& edges, NodeId a, NodeId b) {
-    edges.push_back({std::min(a, b), std::max(a, b)});
-}
+// The protocol election kernel over all nodes: one collection pass,
+// then the per-pair elections in parallel over fixed-size blocks of
+// pair groups. Each block owns its outcome buffer and one reused
+// PairElection; blocks merge in pair order and the CDS edges are sorted
+// and deduplicated once.
 
 protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGraph& udg,
                                              const protocol::ClusterState& cluster,
                                              std::size_t* items) {
     const auto n = static_cast<NodeId>(udg.node_count());
-    std::vector<bool> connector(n, false);
-    std::vector<DominatorPair> edges;
-    *items = 0;
+    std::vector<NodeId> all(n);
+    std::iota(all.begin(), all.end(), NodeId{0});
+    const protocol::ConnectorCandidates cands =
+        protocol::collect_candidates(cluster, all, {});
 
-    // Phase A: dominators two hops apart; candidates are dominatees
-    // adjacent to both.
-    CandidateGroups two_hop;
-    for (NodeId w = 0; w < n; ++w) {
-        const auto doms = cluster.dominators(w);
-        for (std::size_t i = 0; i < doms.size(); ++i) {
-            for (std::size_t j = i + 1; j < doms.size(); ++j) {
-                two_hop.entries.push_back({{doms[i], doms[j]}, w});
+    struct Block {
+        std::vector<NodeId> connectors;
+        std::vector<protocol::DominatorPair> edges;
+        std::size_t second_leg_candidates = 0;
+    };
+    constexpr std::size_t kBlock = 256;
+    const std::size_t two = cands.two_hop.size();
+    const std::size_t groups = two + cands.three_hop.size();
+    std::vector<Block> blocks((groups + kBlock - 1) / kBlock);
+    pool.parallel_for(0, blocks.size(), [&](std::size_t b) {
+        protocol::PairElection election;
+        Block& out = blocks[b];
+        for (std::size_t g = b * kBlock; g < std::min(groups, (b + 1) * kBlock); ++g) {
+            if (g < two) {
+                protocol::elect_two_hop(udg, cands.two_hop.pairs[g],
+                                        cands.two_hop.candidates(g), election);
+            } else {
+                protocol::elect_three_hop(udg, cluster, cands.three_hop.pairs[g - two],
+                                          cands.three_hop.candidates(g - two), election);
             }
+            out.connectors.insert(out.connectors.end(), election.connectors.begin(),
+                                  election.connectors.end());
+            out.edges.insert(out.edges.end(), election.edges.begin(),
+                             election.edges.end());
+            out.second_leg_candidates += election.second_leg_candidates;
         }
-    }
-    two_hop.finish();
-    *items += two_hop.entries.size();
-    {
-        const auto winners = elect_winners(pool, udg, two_hop);
-        for (std::size_t g = 0; g < winners.size(); ++g) {
-            const DominatorPair pair = two_hop.entries[two_hop.offsets[g]].first;
-            for (const NodeId w : winners[g]) {
-                connector[w] = true;
-                add_edge_once(edges, pair.first, w);
-                add_edge_once(edges, w, pair.second);
-            }
-        }
-    }
+    });
 
-    // Phase B: first leg of three-hop connections (ordered pairs u → v).
-    CandidateGroups first_leg;
-    for (NodeId w = 0; w < n; ++w) {
-        for (const NodeId u : cluster.dominators(w)) {
-            for (const NodeId v : cluster.two_hop_dominators(w)) {
-                first_leg.entries.push_back({{u, v}, w});
-            }
-        }
-    }
-    first_leg.finish();
-    *items += first_leg.entries.size();
-    const auto first_winners = elect_winners(pool, udg, first_leg);
-    for (std::size_t g = 0; g < first_winners.size(); ++g) {
-        const DominatorPair pair = first_leg.entries[first_leg.offsets[g]].first;
-        for (const NodeId w : first_winners[g]) {
-            connector[w] = true;
-            add_edge_once(edges, pair.first, w);
-        }
-    }
-
-    // Phase C: second leg — dominatees of v audible from a first-leg
-    // winner. `audible` records (pair, x, w) for every audible (winner
-    // w, dominatee x) incidence; the candidate set per pair is the
-    // deduplicated x column.
-    std::vector<std::pair<std::pair<DominatorPair, NodeId>, NodeId>> audible;
-    CandidateGroups second_leg;
-    for (std::size_t g = 0; g < first_winners.size(); ++g) {
-        const DominatorPair pair = first_leg.entries[first_leg.offsets[g]].first;
-        for (const NodeId w : first_winners[g]) {
-            for (const NodeId x : udg.neighbors(w)) {
-                const auto doms = cluster.dominators(x);
-                if (std::binary_search(doms.begin(), doms.end(), pair.second)) {
-                    audible.push_back({{pair, x}, w});
-                }
-            }
-        }
-    }
-    std::sort(audible.begin(), audible.end());
-    for (std::size_t i = 0; i < audible.size(); ++i) {
-        if (i == 0 || audible[i].first != audible[i - 1].first) {
-            second_leg.entries.push_back(audible[i].first);
-        }
-    }
-    second_leg.finish();
-    *items += second_leg.entries.size();
-    {
-        const auto winners = elect_winners(pool, udg, second_leg);
-        for (std::size_t g = 0; g < winners.size(); ++g) {
-            const DominatorPair pair = second_leg.entries[second_leg.offsets[g]].first;
-            for (const NodeId x : winners[g]) {
-                connector[x] = true;
-                add_edge_once(edges, x, pair.second);
-                const auto range = std::equal_range(
-                    audible.begin(), audible.end(),
-                    std::pair{std::pair{pair, x}, NodeId{0}},
-                    [](const auto& a, const auto& b) { return a.first < b.first; });
-                for (auto it = range.first; it != range.second; ++it) {
-                    add_edge_once(edges, x, it->second);
-                }
-            }
-        }
-    }
-
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     protocol::ConnectorState state;
-    state.is_connector = std::move(connector);
-    state.cds_edges = std::move(edges);
+    state.is_connector.assign(n, false);
+    *items = cands.two_hop.nodes.size() + cands.three_hop.nodes.size();
+    for (const Block& block : blocks) {
+        for (const NodeId c : block.connectors) state.is_connector[c] = true;
+        state.cds_edges.insert(state.cds_edges.end(), block.edges.begin(),
+                               block.edges.end());
+        *items += block.second_leg_candidates;
+    }
+    std::sort(state.cds_edges.begin(), state.cds_edges.end());
+    state.cds_edges.erase(std::unique(state.cds_edges.begin(), state.cds_edges.end()),
+                          state.cds_edges.end());
     return state;
 }
 
@@ -244,11 +140,8 @@ std::vector<TriangleKey> parallel_ldel1_triangles(ThreadPool& pool,
     std::vector<std::vector<TriangleKey>> mine(n);
     pool.parallel_for(0, n, [&](std::size_t u) {
         for (const auto& t : local[u]) {
-            if (t.a != u) continue;  // Count each triangle once, at its least vertex.
-            if (std::binary_search(local[t.b].begin(), local[t.b].end(), t) &&
-                std::binary_search(local[t.c].begin(), local[t.c].end(), t)) {
-                mine[u].push_back(t);
-            }
+            // Count each triangle once, at its least vertex.
+            if (t.a == u && proximity::ldel1_member(local, t)) mine[u].push_back(t);
         }
     });
 
@@ -421,6 +314,7 @@ SpannerEngine::SpannerEngine(EngineOptions options)
     : options_(options), pool_(options.threads) {}
 
 BuildResult SpannerEngine::build(std::vector<geom::Point> points, double radius) {
+    core::validate_input(points, radius);
     BuildResult result;
     result.udg = build_udg_staged(pool_, std::move(points), radius, &result.stats);
     result.backbone = build_backbone_staged(pool_, result.udg, options_, &result.stats,

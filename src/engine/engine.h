@@ -3,7 +3,7 @@
 // The paper's construction is node-local at every step — O(1) messages
 // and O(d log d) computation per node — so the engine parallelizes the
 // per-node work inside each stage: grid-cell UDG edge generation,
-// per-candidate connector evaluation, per-node 1-hop local Delaunay
+// per-pair connector elections, per-node 1-hop local Delaunay
 // computation, and the per-triangle Algorithm-3 survival test.
 //
 // Determinism contract: for any thread count, the engine produces
@@ -66,11 +66,7 @@ struct EngineOptions {
     /// any thread count (test_engine.cpp pins this).
     bool audit = false;
     verify::AuditOptions audit_options;  ///< caps used when audit is on
-    /// Consumed by dynamic::DynamicSpanner: when true, update batches
-    /// are patched by localized recomputation of the dirty region; when
-    /// false every batch takes the full-rebuild path (the baseline mode
-    /// the benches compare against). Ignored by plain builds.
-    bool incremental = true;
+    /// Consumed by dynamic::DynamicSpanner; ignored by plain builds.
     IncrementalOptions incremental_options;
 };
 
@@ -131,7 +127,10 @@ class SpannerEngine {
     [[nodiscard]] const EngineOptions& options() const noexcept { return options_; }
     [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
 
-    /// Full pipeline from raw node positions.
+    /// Full pipeline from raw node positions. Throws
+    /// std::invalid_argument (core::validate_input) before any work when
+    /// a coordinate or the radius is not finite, or the radius is
+    /// negative.
     [[nodiscard]] BuildResult build(std::vector<geom::Point> points, double radius);
 
     /// Staged pipeline over an existing UDG (no UDG stage). `trail`

@@ -18,15 +18,36 @@ bool sorted_insert(std::vector<NodeId>& list, NodeId value) {
     return true;
 }
 
-/// Election ranking: smaller key wins. kLowestId ranks by id alone;
-/// kHighestDegree prefers larger degree, then smaller id.
-struct Key {
-    std::size_t primary = 0;
-    NodeId id = 0;
-    friend auto operator<=>(const Key&, const Key&) = default;
-};
+/// Harvest pass shared by both engines: dominator lists come from
+/// adjacency + roles; two-hop dominators from dominatee neighbors'
+/// lists (what IamDominatee traffic reveals).
+void derive_lists(const GeometricGraph& udg, ClusterState& state) {
+    const auto n = static_cast<NodeId>(udg.node_count());
+    // Both passes fill rows in node order, so they build CSR arrays and
+    // hand them to fresh pages in one step.
+    std::vector<std::size_t> offsets{0};
+    std::vector<NodeId> lists;
+    std::vector<NodeId> row;
+    for (NodeId v = 0; v < n; ++v) {
+        derive_dominators(udg, state.role, v, row);
+        lists.insert(lists.end(), row.begin(), row.end());
+        offsets.push_back(lists.size());
+    }
+    state.dominators_of = graph::CowRows<NodeId>(offsets, lists);
 
-Key key_of(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
+    offsets.assign(1, 0);
+    lists.clear();
+    for (NodeId v = 0; v < n; ++v) {
+        derive_two_hop_dominators(udg, state, v, row);
+        lists.insert(lists.end(), row.begin(), row.end());
+        offsets.push_back(lists.size());
+    }
+    state.two_hop_dominators_of = graph::CowRows<NodeId>(offsets, lists);
+}
+
+}  // namespace
+
+ClusterKey cluster_key(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
     switch (policy) {
         case ClusterPolicy::kLowestId:
             return {0, v};
@@ -37,43 +58,25 @@ Key key_of(const GeometricGraph& udg, NodeId v, ClusterPolicy policy) {
     return {0, v};
 }
 
-/// Harvest pass shared by both engines: dominator lists come from
-/// adjacency + roles; two-hop dominators from dominatee neighbors'
-/// lists (what IamDominatee traffic reveals).
-void derive_lists(const GeometricGraph& udg, ClusterState& state) {
-    const auto n = static_cast<NodeId>(udg.node_count());
-    // Both passes fill rows in node order, so they build CSR arrays and
-    // hand them to fresh pages in one step.
-    std::vector<std::size_t> offsets{0};
-    std::vector<NodeId> lists;
-    for (NodeId v = 0; v < n; ++v) {
-        if (state.role[v] == Role::kDominatee) {
-            for (const NodeId u : udg.neighbors(v)) {
-                if (state.role[u] == Role::kDominator) lists.push_back(u);
-            }
-        }
-        offsets.push_back(lists.size());
+void derive_dominators(const GeometricGraph& udg, std::span<const Role> role, NodeId v,
+                       std::vector<NodeId>& out) {
+    out.clear();
+    if (role[v] != Role::kDominatee) return;
+    for (const NodeId u : udg.neighbors(v)) {
+        if (role[u] == Role::kDominator) out.push_back(u);
     }
-    state.dominators_of = graph::CowRows<NodeId>(offsets, lists);
-
-    offsets.assign(1, 0);
-    lists.clear();
-    std::vector<NodeId> two_hop;
-    for (NodeId v = 0; v < n; ++v) {
-        two_hop.clear();
-        for (const NodeId w : udg.neighbors(v)) {
-            if (state.role[w] != Role::kDominatee) continue;
-            for (const NodeId d : state.dominators(w)) {
-                if (d != v && !udg.has_edge(v, d)) sorted_insert(two_hop, d);
-            }
-        }
-        lists.insert(lists.end(), two_hop.begin(), two_hop.end());
-        offsets.push_back(lists.size());
-    }
-    state.two_hop_dominators_of = graph::CowRows<NodeId>(offsets, lists);
 }
 
-}  // namespace
+void derive_two_hop_dominators(const GeometricGraph& udg, const ClusterState& state,
+                               NodeId v, std::vector<NodeId>& out) {
+    out.clear();
+    for (const NodeId w : udg.neighbors(v)) {
+        if (state.role[w] != Role::kDominatee) continue;
+        for (const NodeId d : state.dominators(w)) {
+            if (d != v && !udg.has_edge(v, d)) sorted_insert(out, d);
+        }
+    }
+}
 
 ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy policy) {
     const auto n = static_cast<NodeId>(udg.node_count());
@@ -86,10 +89,10 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
     // currently known (updated from received announcements). Election
     // keys of neighbors are known from the Hello beacons (id + degree).
     std::vector<char> white(n, 1);
-    std::vector<std::set<Key>> white_neighbors(n);
+    std::vector<std::set<ClusterKey>> white_neighbors(n);
     for (NodeId v = 0; v < n; ++v) {
         for (const NodeId u : udg.neighbors(v)) {
-            white_neighbors[v].insert(key_of(udg, u, policy));
+            white_neighbors[v].insert(cluster_key(udg, u, policy));
         }
     }
 
@@ -105,7 +108,7 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
         for (NodeId v = 0; v < n; ++v) {
             for (const auto& env : net.inbox(v)) {
                 if (std::holds_alternative<IamDominator>(env.payload)) {
-                    white_neighbors[v].erase(key_of(udg, env.from, policy));
+                    white_neighbors[v].erase(cluster_key(udg, env.from, policy));
                     if (white[v]) {
                         // First dominator: v leaves the white state.
                         white[v] = 0;
@@ -116,7 +119,7 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
                         net.broadcast(v, IamDominatee{env.from});
                     }
                 } else if (const auto* msg = std::get_if<IamDominatee>(&env.payload)) {
-                    white_neighbors[v].erase(key_of(udg, env.from, policy));
+                    white_neighbors[v].erase(cluster_key(udg, env.from, policy));
                     const NodeId d = msg->dominator;
                     if (d != v && !udg.has_edge(v, d)) {
                         sorted_insert(two_hop[v], d);
@@ -128,7 +131,7 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
         // still-white neighbors elects itself dominator.
         for (NodeId v = 0; v < n; ++v) {
             if (!white[v]) continue;
-            const Key mine = key_of(udg, v, policy);
+            const ClusterKey mine = cluster_key(udg, v, policy);
             if (white_neighbors[v].empty() || mine < *white_neighbors[v].begin()) {
                 white[v] = 0;
                 state.role[v] = Role::kDominator;
@@ -158,10 +161,10 @@ ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) 
         std::vector<NodeId> winners;
         for (NodeId v = 0; v < n; ++v) {
             if (!white[v]) continue;
-            const Key mine = key_of(udg, v, policy);
+            const ClusterKey mine = cluster_key(udg, v, policy);
             bool best = true;
             for (const NodeId u : udg.neighbors(v)) {
-                if (white[u] && key_of(udg, u, policy) < mine) {
+                if (white[u] && cluster_key(udg, u, policy) < mine) {
                     best = false;
                     break;
                 }

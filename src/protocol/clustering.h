@@ -18,6 +18,9 @@
 //                     beacon).
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "protocol/cluster_state.h"
 #include "protocol/messages.h"
 
@@ -27,6 +30,28 @@ enum class ClusterPolicy {
     kLowestId,
     kHighestDegree,
 };
+
+/// Election ranking: the smaller key wins. kLowestId ranks by id alone;
+/// kHighestDegree prefers larger degree, then smaller id.
+struct ClusterKey {
+    std::size_t primary = 0;
+    NodeId id = 0;
+    friend auto operator<=>(const ClusterKey&, const ClusterKey&) = default;
+};
+
+[[nodiscard]] ClusterKey cluster_key(const graph::GeometricGraph& udg, NodeId v,
+                                     ClusterPolicy policy);
+
+/// The dominators_of row of v: its dominator neighbors when v is a
+/// dominatee, empty otherwise. Replaces `out`; ascending.
+void derive_dominators(const graph::GeometricGraph& udg, std::span<const Role> role,
+                       NodeId v, std::vector<NodeId>& out);
+
+/// The two_hop_dominators_of row of v: the dominators of v's dominatee
+/// neighbors (read from `state.dominators_of`) that are neither v nor
+/// adjacent to it. Replaces `out`; ascending.
+void derive_two_hop_dominators(const graph::GeometricGraph& udg, const ClusterState& state,
+                               NodeId v, std::vector<NodeId>& out);
 
 /// Runs the distributed clustering protocol over the radio graph of
 /// `net` (which must be the UDG). Every node first broadcasts a Hello

@@ -11,8 +11,6 @@ using graph::GeometricGraph;
 
 namespace {
 
-using DominatorPair = std::pair<NodeId, NodeId>;
-
 void add_edge_once(std::set<std::pair<NodeId, NodeId>>& edges, NodeId a, NodeId b) {
     edges.insert({std::min(a, b), std::max(a, b)});
 }
@@ -222,6 +220,134 @@ ConnectorState find_connectors(const GeometricGraph& udg, const ClusterState& cl
     }
 
     return finish(n, connector, edges);
+}
+
+ConnectorCandidates collect_candidates(const ClusterState& cluster,
+                                       std::span<const NodeId> nodes,
+                                       std::span<const char> endpoint_filter) {
+    const auto keep = [&](NodeId u, NodeId v) {
+        return endpoint_filter.empty() || endpoint_filter[u] != 0 ||
+               endpoint_filter[v] != 0;
+    };
+    // Entries are unique per phase and emitted with the candidate
+    // ascending, so sorting them groups each pair's candidates in the
+    // ascending order the election expects.
+    std::vector<std::pair<DominatorPair, NodeId>> entries;
+    const auto group = [&](PairGroups& groups) {
+        std::sort(entries.begin(), entries.end());
+        groups.nodes.reserve(entries.size());
+        for (const auto& [pair, w] : entries) {
+            if (groups.pairs.empty() || groups.pairs.back() != pair) {
+                groups.pairs.push_back(pair);
+                groups.offsets.push_back(static_cast<std::uint32_t>(groups.nodes.size()));
+            }
+            groups.nodes.push_back(w);
+        }
+        groups.offsets.push_back(static_cast<std::uint32_t>(groups.nodes.size()));
+    };
+
+    ConnectorCandidates out;
+    for (const NodeId w : nodes) {
+        const auto doms = cluster.dominators(w);
+        for (std::size_t i = 0; i < doms.size(); ++i) {
+            for (std::size_t j = i + 1; j < doms.size(); ++j) {
+                if (keep(doms[i], doms[j])) entries.push_back({{doms[i], doms[j]}, w});
+            }
+        }
+    }
+    group(out.two_hop);
+
+    entries.clear();
+    for (const NodeId w : nodes) {
+        for (const NodeId u : cluster.dominators(w)) {
+            for (const NodeId v : cluster.two_hop_dominators(w)) {
+                if (keep(u, v)) entries.push_back({{u, v}, w});
+            }
+        }
+    }
+    group(out.three_hop);
+    return out;
+}
+
+namespace {
+
+/// w wins iff no smaller-id candidate is UDG-adjacent to it. Candidates
+/// ascend, so the scan stops at w.
+bool wins(const GeometricGraph& udg, NodeId w, std::span<const NodeId> candidates) {
+    for (const NodeId c : candidates) {
+        if (c >= w) break;
+        if (udg.has_edge(c, w)) return false;
+    }
+    return true;
+}
+
+DominatorPair edge(NodeId a, NodeId b) { return {std::min(a, b), std::max(a, b)}; }
+
+void settle(PairElection& out) {
+    std::sort(out.connectors.begin(), out.connectors.end());
+    std::sort(out.edges.begin(), out.edges.end());
+    out.edges.erase(std::unique(out.edges.begin(), out.edges.end()), out.edges.end());
+}
+
+}  // namespace
+
+void elect_two_hop(const GeometricGraph& udg, DominatorPair pair,
+                   std::span<const NodeId> candidates, PairElection& out) {
+    out.connectors.clear();
+    out.edges.clear();
+    out.second_leg_candidates = 0;
+    for (const NodeId w : candidates) {
+        if (!wins(udg, w, candidates)) continue;
+        out.connectors.push_back(w);
+        out.edges.push_back(edge(pair.first, w));
+        out.edges.push_back(edge(w, pair.second));
+    }
+    settle(out);
+}
+
+void elect_three_hop(const GeometricGraph& udg, const ClusterState& cluster,
+                     DominatorPair pair, std::span<const NodeId> candidates,
+                     PairElection& out) {
+    out.connectors.clear();
+    out.edges.clear();
+    out.winners.clear();
+    out.audible.clear();
+    out.second.clear();
+    for (const NodeId w : candidates) {
+        if (!wins(udg, w, candidates)) continue;
+        out.winners.push_back(w);
+        out.connectors.push_back(w);
+        out.edges.push_back(edge(pair.first, w));
+    }
+
+    // Second leg: the dominatees x of v audible from a first-leg winner.
+    for (const NodeId w : out.winners) {
+        for (const NodeId x : udg.neighbors(w)) {
+            const auto doms = cluster.dominators(x);
+            if (std::binary_search(doms.begin(), doms.end(), pair.second)) {
+                out.audible.push_back({x, w});
+            }
+        }
+    }
+    std::sort(out.audible.begin(), out.audible.end());
+    for (const auto& [x, w] : out.audible) {
+        if (out.second.empty() || out.second.back() != x) out.second.push_back(x);
+    }
+    out.second_leg_candidates = out.second.size();
+    auto heard = out.audible.begin();
+    for (const NodeId x : out.second) {
+        const auto heard_end = std::find_if(
+            heard, out.audible.end(), [x](const auto& entry) { return entry.first != x; });
+        if (wins(udg, x, out.second)) {
+            out.connectors.push_back(x);
+            out.edges.push_back(edge(x, pair.second));
+            for (auto it = heard; it != heard_end; ++it) {
+                out.edges.push_back(edge(x, it->second));
+            }
+        }
+        heard = heard_end;
+    }
+    settle(out);
 }
 
 ConnectorState find_connectors_alzoubi(const GeometricGraph& udg,

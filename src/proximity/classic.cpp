@@ -98,23 +98,24 @@ GeometricGraph build_rng(const GeometricGraph& udg) {
 GeometricGraph build_gabriel(const GeometricGraph& udg) {
     GeometricGraph g(udg.points());
     for (const auto& [u, v] : udg.edges()) {
-        bool blocked = false;
-        // A witness anywhere in the *closed* diametral disk blocks the
-        // edge (boundary witnesses included: with exactly-cocircular
-        // inputs, e.g. integer grids, strict blocking would keep both
-        // crossing diagonals of a square and break planarity; the paper
-        // assumes general position where the two rules coincide). Any
-        // witness is within |uv| of both endpoints, hence a common UDG
-        // neighbor.
-        for_common_neighbors(udg, u, v, [&](NodeId w) {
-            if (blocked) return;
-            if (geom::in_diametral_circle(udg.point(u), udg.point(v), udg.point(w)) >= 0) {
-                blocked = true;
-            }
-        });
-        if (!blocked) g.add_edge(u, v);
+        if (is_gabriel_edge(udg, u, v)) g.add_edge(u, v);
     }
     return g;
+}
+
+bool is_gabriel_edge(const GeometricGraph& udg, NodeId u, NodeId v) {
+    // A witness anywhere in the *closed* diametral disk blocks the edge
+    // (boundary witnesses included: with exactly-cocircular inputs,
+    // e.g. integer grids, strict blocking would keep both crossing
+    // diagonals of a square and break planarity; the paper assumes
+    // general position where the two rules coincide). Any witness is
+    // within |uv| of both endpoints, hence a common UDG neighbor.
+    bool blocked = false;
+    for_common_neighbors(udg, u, v, [&](NodeId w) {
+        blocked = blocked ||
+                  geom::in_diametral_circle(udg.point(u), udg.point(v), udg.point(w)) >= 0;
+    });
+    return !blocked;
 }
 
 GeometricGraph build_yao(const GeometricGraph& udg, int cones) {

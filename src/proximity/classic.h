@@ -25,6 +25,12 @@ namespace geospanner::proximity {
 /// disk with diameter uv contains no node. Exact predicate.
 [[nodiscard]] graph::GeometricGraph build_gabriel(const graph::GeometricGraph& udg);
 
+/// The Gabriel test of one edge (u, v) of `udg`: true iff no common
+/// neighbor lies in the *closed* diametral disk of uv (the rule
+/// build_gabriel applies to every edge).
+[[nodiscard]] bool is_gabriel_edge(const graph::GeometricGraph& udg, graph::NodeId u,
+                                   graph::NodeId v);
+
 /// Yao graph with `cones` equal sectors per node: each node keeps its
 /// shortest UDG edge in every sector (ties broken by smaller node id);
 /// result is the undirected union. cones >= 6 gives a length spanner.

@@ -88,6 +88,12 @@ PairRemoval alg3_pair(const TrianglePoints& s, const TrianglePoints& t) {
     return {remove_s, remove_t};
 }
 
+/// alg3_pair's verdict on `t` for an intersecting partner `r`, where
+/// `r_first` says r has the smaller key.
+bool removed_by(const TrianglePoints& t, const TrianglePoints& r, bool r_first) {
+    return r_first ? alg3_pair(r, t).larger : alg3_pair(t, r).smaller;
+}
+
 GeometricGraph graph_from(const GeometricGraph& udg,
                           const std::vector<TriangleKey>& triangles) {
     GeometricGraph g = build_gabriel(udg);
@@ -155,6 +161,13 @@ bool circumcircle_contains_vertex_of(const GeometricGraph& g, TriangleKey s,
     return cc_contains_impl(ccw_points(g, s), ccw_points(g, t));
 }
 
+bool alg3_removed_by(const GeometricGraph& g, TriangleKey t, TriangleKey r) {
+    const TrianglePoints pt = ccw_points(g, t);
+    const TrianglePoints pr = ccw_points(g, r);
+    if (bbox_disjoint(pt, pr) || !intersect_impl(pt, pr)) return false;
+    return removed_by(pt, pr, r < t);
+}
+
 std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg) {
     const auto n = static_cast<NodeId>(udg.node_count());
     std::vector<std::vector<TriangleKey>> local(n);
@@ -163,24 +176,24 @@ std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg) {
         local_triangles_at(udg, u, scratch, local[u]);
     }
 
-    // A triangle is 1-localized Delaunay iff it appears in the local
-    // Delaunay triangulation of all three of its vertices (equivalent to
-    // circumcircle emptiness over the union of their 1-hop neighborhoods,
-    // since a Delaunay triangle of N1(x) has its circumcircle empty of
-    // N1(x)). Per-node lists are sorted, so membership is binary search
-    // and concatenating the least-vertex hits in node order is already
+    // Concatenating the least-vertex hits in node order is already
     // globally sorted.
     std::vector<TriangleKey> result;
     for (NodeId u = 0; u < n; ++u) {
         for (const auto& t : local[u]) {
-            if (t.a != u) continue;  // Count each triangle once, at its least vertex.
-            if (std::binary_search(local[t.b].begin(), local[t.b].end(), t) &&
-                std::binary_search(local[t.c].begin(), local[t.c].end(), t)) {
-                result.push_back(t);
-            }
+            // Count each triangle once, at its least vertex.
+            if (t.a == u && ldel1_member(local, t)) result.push_back(t);
         }
     }
     return result;
+}
+
+bool ldel1_member(const std::vector<std::vector<TriangleKey>>& local, TriangleKey t) {
+    // Equivalent to circumcircle emptiness over the union of the three
+    // 1-hop neighborhoods. Per-node lists are sorted: binary search.
+    return std::ranges::binary_search(local[t.a], t) &&
+           std::ranges::binary_search(local[t.b], t) &&
+           std::ranges::binary_search(local[t.c], t);
 }
 
 std::vector<TriangleKey> ldel1_triangles_reference(const GeometricGraph& udg) {
@@ -300,10 +313,9 @@ bool Alg3Filter::keeps(std::size_t i) const {
         if (!kept || j == i) return;
         const auto& t = tris_[j];
         if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return;
-        // alg3_pair is oriented lower-index-first (canonical key order
-        // for the sorted sets this runs on), matching removal_scan.
-        const PairRemoval r = i < j ? alg3_pair(s, t) : alg3_pair(t, s);
-        if (i < j ? r.smaller : r.larger) kept = false;
+        // Index order is canonical key order for the sorted sets this
+        // runs on, matching removal_scan.
+        if (removed_by(s, t, j < i)) kept = false;
     });
     return kept;
 }

@@ -72,6 +72,21 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 [[nodiscard]] bool circumcircle_contains_vertex_of(const graph::GeometricGraph& g,
                                                    TriangleKey s, TriangleKey t);
 
+/// Algorithm 3's rule for one pair: true iff triangle t is removed
+/// because of r — they intersect and t's circumcircle strictly contains
+/// a vertex of r, or neither circumcircle strictly contains a vertex of
+/// the other (exactly cocircular corners) and t has the larger key.
+/// The rule Alg3Filter applies to every intersecting pair. Exact.
+[[nodiscard]] bool alg3_removed_by(const graph::GeometricGraph& g, TriangleKey t,
+                                   TriangleKey r);
+
+/// LDel⁽¹⁾'s membership rule over per-node local_triangles_at lists:
+/// t is a 1-localized Delaunay triangle iff all three of its corners
+/// list it (a Delaunay triangle of N1(x) has its circumcircle empty of
+/// N1(x)).
+[[nodiscard]] bool ldel1_member(const std::vector<std::vector<TriangleKey>>& local,
+                                TriangleKey t);
+
 /// All 1-localized Delaunay triangles of the UDG, sorted. Computed via
 /// per-node local Delaunay triangulations (the efficient O(d log d)-per-
 /// node formulation; equivalent to the circumcircle definition).

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "core/input.h"
 #include "protocol/clustering.h"
 #include "proximity/cell_grid.h"
 
@@ -117,6 +118,7 @@ TileShardedEngine::TileShardedEngine(ShardOptions options)
 
 ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
                                           double radius) {
+    core::validate_input(points, radius);
     ShardBuildResult result;
     engine::EngineOptions eopts;
     eopts.cluster_policy = options_.cluster_policy;

@@ -98,8 +98,10 @@ class TileShardedEngine {
     [[nodiscard]] const ShardOptions& options() const noexcept { return options_; }
 
     /// Full sharded pipeline from raw node positions. Degenerate inputs
-    /// (no points, radius ≤ 0) take the monolithic path — there is
-    /// nothing to shard and the stage names reflect that.
+    /// (no points, radius 0) take the monolithic path — there is
+    /// nothing to shard and the stage names reflect that. Throws
+    /// std::invalid_argument (core::validate_input) before any work on
+    /// a non-finite coordinate or a non-finite or negative radius.
     [[nodiscard]] ShardBuildResult build(std::vector<geom::Point> points, double radius);
 
   private:

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "dynamic/spanner.h"
+#include "engine/engine.h"
 #include "graph/shortest_paths.h"
 #include "protocol/clustering.h"
 #include "proximity/udg.h"
@@ -19,6 +21,20 @@ GeometricGraph cds_graph(const GeometricGraph& udg, const ConnectorState& conn) 
     GeometricGraph g(udg.points());
     for (const auto& [u, v] : conn.cds_edges) g.add_edge(u, v);
     return g;
+}
+
+/// The engine's connector stage, reached through
+/// build_backbone_from_cluster at 1 and 4 lanes, must elect exactly what
+/// find_connectors elects.
+void expect_engine_matches(const GeometricGraph& g, const ClusterState& cluster,
+                           const ConnectorState& reference) {
+    for (const std::size_t lanes : {1, 4}) {
+        engine::ThreadPool pool(lanes);
+        const core::Backbone backbone =
+            engine::build_backbone_from_cluster(pool, g, cluster, {});
+        EXPECT_EQ(backbone.is_connector, reference.is_connector) << lanes << " lanes";
+        EXPECT_EQ(backbone.cds.edges(), reference.cds_edges) << lanes << " lanes";
+    }
 }
 
 class ConnectorSweep : public ::testing::TestWithParam<test::SweepParam> {
@@ -242,6 +258,7 @@ TEST(Connectors, TwoHopPairGetsLowestIdCommonNeighbor) {
     const ConnectorState conn = find_connectors(g, cluster);
     EXPECT_TRUE(conn.is_connector[2]);
     EXPECT_FALSE(conn.is_connector[3]);
+    expect_engine_matches(g, cluster, conn);
 }
 
 TEST(Connectors, MutuallyInaudibleCandidatesBothWin) {
@@ -256,6 +273,7 @@ TEST(Connectors, MutuallyInaudibleCandidatesBothWin) {
     const ConnectorState conn = find_connectors(g, cluster);
     EXPECT_TRUE(conn.is_connector[2]);
     EXPECT_TRUE(conn.is_connector[3]);
+    expect_engine_matches(g, cluster, conn);
 }
 
 TEST(Connectors, ThreeHopPathGetsTwoConnectors) {
@@ -274,6 +292,55 @@ TEST(Connectors, ThreeHopPathGetsTwoConnectors) {
     EXPECT_TRUE(cds.has_edge(0, 2));
     EXPECT_TRUE(cds.has_edge(2, 3));
     EXPECT_TRUE(cds.has_edge(3, 1));
+    expect_engine_matches(g, cluster, conn);
+}
+
+TEST(Connectors, SecondLegNodeLinksToEveryFirstLegWinnerItHears) {
+    // Dominators u = 0 and v = 1 three hops apart. For the ordered pair
+    // (0, 1), first-leg candidates 2 and 3 cannot hear each other, so
+    // both win (4 loses to its neighbor 2); x = 6 is the only dominatee
+    // of 1 they reach, so it wins the second leg and must link to both.
+    // In the reverse pair (1, 0), 6 loses the first leg to its neighbor
+    // 5, so the links 2-6 and 3-6 come from (0, 1)'s second leg alone.
+    // The layout is the radius-1 UDG of these points.
+    const std::vector<geom::Point> points{{0.0, 0.0},   {2.3, 0.3},  {0.7, 0.55},
+                                          {0.7, -0.55}, {0.85, 0.475}, {1.7, 0.95},
+                                          {1.45, 0.0}};
+    const GeometricGraph g = proximity::build_udg(points, 1.0);
+    const ClusterState cluster = lowest_id_mis(g);
+    ASSERT_TRUE(cluster.is_dominator(0));
+    ASSERT_TRUE(cluster.is_dominator(1));
+    ASSERT_EQ(cluster.dominator_count(), 2u);
+    const ConnectorState conn = find_connectors(g, cluster);
+    const std::vector<std::pair<NodeId, NodeId>> expected{
+        {0, 2}, {0, 3}, {0, 4}, {1, 5}, {1, 6}, {2, 6}, {3, 6}, {4, 5}};
+    EXPECT_EQ(conn.cds_edges, expected);
+    EXPECT_EQ(conn.is_connector,
+              std::vector<bool>({false, false, true, true, true, true, true}));
+
+    Net net(g);
+    const ConnectorState distributed = run_connectors(net, g, run_clustering(net, g));
+    EXPECT_EQ(distributed.cds_edges, expected);
+    EXPECT_EQ(distributed.is_connector, conn.is_connector);
+    expect_engine_matches(g, cluster, conn);
+
+    // DynamicSpanner: the initial build, then a patch that moves x away
+    // and one that moves it back (gates opened so both stay localized).
+    engine::EngineOptions opts;
+    opts.threads = 2;
+    opts.incremental_options.rebuild_fraction = 1.0;
+    opts.incremental_options.total_rebuild_fraction = 1.0;
+    engine::SpannerEngine engine(opts);
+    dynamic::DynamicSpanner dyn(engine, points, 1.0);
+    EXPECT_EQ(dyn.backbone().cds.edges(), expected);
+    EXPECT_EQ(dyn.backbone().is_connector, conn.is_connector);
+    for (const geom::Point to : {geom::Point{5.0, 5.0}, points[6]}) {
+        dynamic::UpdateBatch batch;
+        batch.moves.push_back({6, to});
+        EXPECT_FALSE(dyn.apply(batch).fell_back);
+    }
+    EXPECT_EQ(dyn.backbone().cds.edges(), expected);
+    EXPECT_EQ(dyn.backbone().is_connector, conn.is_connector);
 }
 
 }  // namespace

@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
+#include "backends/backend.h"
 #include "core/backbone.h"
 #include "core/workload.h"
+#include "dynamic/spanner.h"
 #include "engine/engine.h"
 #include "geom/predicates.h"
 #include "geom/vec2.h"
 #include "proximity/udg.h"
+#include "shard/tile_engine.h"
 #include "test_util.h"
 #include "verify/audit.h"
 
@@ -130,6 +135,42 @@ TEST(Degenerate, EngineMatchesCentralizedOnDegenerateInput) {
         EXPECT_EQ(result.backbone.ldel_icds, reference.ldel_icds);
         EXPECT_EQ(result.backbone.ldel_icds_prime, reference.ldel_icds_prime);
     }
+}
+
+TEST(Degenerate, EveryBuildEntryPointRejectsNonFiniteInput) {
+    // NaN or inf must never reach the cell-grid index conversion: each
+    // public entry point taking raw positions throws before any work.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const std::vector<geom::Point> good{{0.0, 0.0}, {1.0, 0.5}, {2.0, 0.0}};
+    struct Case {
+        const char* name;
+        std::vector<geom::Point> points;
+        double radius;
+    };
+    const std::vector<Case> cases{{"nan point", {{0.0, 0.0}, {nan, 0.5}}, 1.5},
+                                  {"inf point", {{0.0, 0.0}, {1.0, -inf}}, 1.5},
+                                  {"nan radius", good, nan},
+                                  {"negative radius", good, -1.0}};
+    engine::EngineOptions engine_options;
+    engine_options.threads = 2;
+    engine::SpannerEngine engine(engine_options);
+    shard::ShardOptions shard_options;
+    shard_options.threads = 2;
+    shard::TileShardedEngine sharded(shard_options);
+    const auto backend = backends::make_backend("biniaz");
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        EXPECT_THROW((void)engine.build(c.points, c.radius), std::invalid_argument);
+        EXPECT_THROW((void)sharded.build(c.points, c.radius), std::invalid_argument);
+        EXPECT_THROW((void)backend->build_points(c.points, c.radius),
+                     std::invalid_argument);
+        EXPECT_THROW(dynamic::DynamicSpanner(engine, c.points, c.radius),
+                     std::invalid_argument);
+    }
+    // Radius 0 stays a valid "no edges" build for the one-shot builders.
+    EXPECT_EQ(engine.build(good, 0.0).udg.edge_count(), 0u);
+    EXPECT_THROW(dynamic::DynamicSpanner(engine, good, 0.0), std::invalid_argument);
 }
 
 // ---- Float-filter boundary ------------------------------------------

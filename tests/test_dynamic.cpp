@@ -255,20 +255,6 @@ TEST(DynamicSpanner, ForcedFallbackStaysIdentical) {
     }
 }
 
-TEST(DynamicSpanner, IncrementalDisabledTakesFullRebuildPath) {
-    const auto udg = test::connected_udg(30, 150.0, 55.0, 3);
-    ASSERT_GT(udg.node_count(), 0u);
-    engine::EngineOptions opts = engine_options(ClusterPolicy::kLowestId);
-    opts.incremental = false;
-    engine::SpannerEngine engine(opts);
-    DynamicSpanner dyn(engine, udg.points(), 55.0);
-    UpdateBatch batch;
-    batch.moves.push_back({0, dyn.positions()[0]});
-    const PatchStats stats = dyn.apply(batch);
-    EXPECT_TRUE(stats.fell_back);
-    EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
-}
-
 TEST(DynamicSpanner, PatchedOutputsPassLemmaAudits) {
     const double radius = 60.0;
     const auto udg = test::connected_udg(60, 200.0, radius, 41);

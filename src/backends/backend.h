@@ -90,7 +90,8 @@ class SpannerBackend {
     /// spanner. Backends may override to fuse the stages (the engine
     /// backend runs its own staged UDG construction). Throws
     /// std::invalid_argument (core::validate_input) before any work on
-    /// a non-finite coordinate or a non-finite or negative radius.
+    /// a non-finite coordinate, a non-finite or negative radius, or a
+    /// coordinate of 2^62 radii or more.
     [[nodiscard]] virtual BackendResult build_points(std::vector<geom::Point> points,
                                                      double radius);
 };

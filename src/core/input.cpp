@@ -9,9 +9,18 @@ std::string input_error(std::span<const geom::Point> points, double radius) {
     if (!std::isfinite(radius) || radius < 0.0) {
         return "radius must be finite and non-negative";
     }
+    // Grid indexes are floor(coordinate / radius) as a 64-bit integer;
+    // ratios from 2^62 up would overflow the cast (or, after a one-cell
+    // offset, the neighbor scan).
+    const double limit = std::ldexp(radius, 62);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (!std::isfinite(points[i].x) || !std::isfinite(points[i].y)) {
+        const double x = points[i].x;
+        const double y = points[i].y;
+        if (!std::isfinite(x) || !std::isfinite(y)) {
             return "non-finite coordinate at point " + std::to_string(i);
+        }
+        if (radius > 0.0 && (std::abs(x) >= limit || std::abs(y) >= limit)) {
+            return "coordinate too large for the radius at point " + std::to_string(i);
         }
     }
     return {};

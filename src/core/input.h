@@ -11,8 +11,10 @@
 namespace geospanner::core {
 
 /// "" when every point has finite coordinates and `radius` is finite and
-/// non-negative (radius 0 means "no edges"); otherwise the first problem
-/// found, naming the offending point's index.
+/// non-negative (radius 0 means "no edges"), and, for a positive radius,
+/// every |coordinate| / radius is below 2^62 (the cell grids' integer
+/// range); otherwise the first problem found, naming the offending
+/// point's index.
 [[nodiscard]] std::string input_error(std::span<const geom::Point> points,
                                       double radius = 0.0);
 

@@ -99,16 +99,17 @@ void DynamicSpanner::PatchContext::touch(NodeId v) {
     ++dirty_count;
 }
 
-std::string validate_batch(const UpdateBatch& batch, std::size_t node_count) {
+std::string validate_batch(const UpdateBatch& batch, std::size_t node_count,
+                           double radius) {
     for (const auto& mv : batch.moves) {
         if (mv.node >= node_count) {
             return "move targets nonexistent node " + std::to_string(mv.node);
         }
-        if (!core::input_error({&mv.to, 1}).empty()) {
-            return "non-finite move coordinate for node " + std::to_string(mv.node);
+        if (std::string error = core::input_error({&mv.to, 1}, radius); !error.empty()) {
+            return "move of node " + std::to_string(mv.node) + ": " + error;
         }
     }
-    if (std::string error = core::input_error(batch.joins); !error.empty()) {
+    if (std::string error = core::input_error(batch.joins, radius); !error.empty()) {
         return "join: " + error;
     }
     std::size_t count = node_count + batch.joins.size();
@@ -220,7 +221,8 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
 // ---- apply -----------------------------------------------------------
 
 PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
-    if (std::string invalid = validate_batch(batch, points_.size()); !invalid.empty()) {
+    if (std::string invalid = validate_batch(batch, points_.size(), radius_);
+        !invalid.empty()) {
         throw std::invalid_argument(std::move(invalid));
     }
     PatchStats stats;

@@ -80,11 +80,14 @@ struct UpdateBatch {
 };
 
 /// Structural validation of `batch` against a spanner of `node_count`
-/// nodes: "" when every move and leave names an existing node and every
-/// coordinate is finite, otherwise the first problem found. Leaves are
-/// checked sequentially, each against the count left by the previous
+/// nodes and the given radius: "" when every move and leave names an
+/// existing node and every move target and join passes
+/// core::input_error at `radius` (finite, and within the cell grids'
+/// range), otherwise the first problem found. Leaves are checked
+/// sequentially, each against the count left by the previous
 /// swap-removes. Cheap enough to run on every batch.
-[[nodiscard]] std::string validate_batch(const UpdateBatch& batch, std::size_t node_count);
+[[nodiscard]] std::string validate_batch(const UpdateBatch& batch, std::size_t node_count,
+                                         double radius);
 
 /// One connected dirty component of a batch: its connector-stage seed
 /// set size, its 2-hop dirty region (sorted node ids), and whether that
@@ -126,7 +129,8 @@ struct PatchStats {
 class DynamicSpanner {
   public:
     /// Builds the initial state. Throws std::invalid_argument when a
-    /// coordinate is not finite or `radius` is not finite and positive.
+    /// coordinate is not finite or is 2^62 radii or more, or `radius` is
+    /// not finite and positive.
     DynamicSpanner(engine::SpannerEngine& engine, std::vector<geom::Point> points,
                    double radius);
 

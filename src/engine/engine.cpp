@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 
@@ -37,6 +38,69 @@ void push_stage(core::PipelineStats* stats, const char* name, Clock::time_point 
 /// their parallel_for inline on one lane.
 std::size_t stage_threads(const ThreadPool& pool) {
     return ThreadPool::on_worker_thread() ? 1 : pool.thread_count();
+}
+
+/// Contiguous blocks a stage splits `items` into: eight per lane for
+/// load balance, and a single block on one lane, so the one-lane run is
+/// the serial loop itself.
+std::size_t block_count(std::size_t items, std::size_t lanes) {
+    return std::min(items, lanes <= 1 ? std::size_t{1} : 8 * lanes);
+}
+
+/// Block b's share [first, last) of `items` split into `blocks`.
+std::pair<std::size_t, std::size_t> block_range(std::size_t items, std::size_t blocks,
+                                                std::size_t b) {
+    return {b * items / blocks, (b + 1) * items / blocks};
+}
+
+/// Per-node rows in CSR form: row v is values[offsets[v], offsets[v + 1]).
+struct Rows {
+    std::vector<std::size_t> offsets{0};
+    std::vector<NodeId> values;
+};
+
+/// Rows filled by `fill(v, row)` (which replaces `row`) in parallel node
+/// blocks. Each block writes its slice as CSR, never one vector per
+/// node, and the slices are concatenated in node order.
+template <class Fill>
+Rows parallel_rows(ThreadPool& pool, std::size_t lanes, std::size_t n, const Fill& fill) {
+    std::vector<Rows> blocks(block_count(n, lanes));
+    pool.parallel_for(0, blocks.size(), [&](std::size_t b) {
+        Rows& out = blocks[b];
+        const auto [first, last] = block_range(n, blocks.size(), b);
+        out.offsets.reserve(last - first + 1);
+        std::vector<NodeId> row;
+        for (std::size_t v = first; v < last; ++v) {
+            fill(static_cast<NodeId>(v), row);
+            out.values.insert(out.values.end(), row.begin(), row.end());
+            out.offsets.push_back(out.values.size());
+        }
+    });
+    if (blocks.size() == 1) return std::move(blocks[0]);
+    Rows rows;
+    rows.offsets.reserve(n + 1);
+    for (const Rows& block : blocks) {
+        const std::size_t base = rows.values.size();
+        for (std::size_t r = 1; r < block.offsets.size(); ++r) {
+            rows.offsets.push_back(base + block.offsets[r]);
+        }
+        rows.values.insert(rows.values.end(), block.values.begin(), block.values.end());
+    }
+    return rows;
+}
+
+/// The graph whose edges are {v, u} for every u in row v. Each row must
+/// be ascending and hold only u > v, so the edge list comes out
+/// lexicographic — the bulk constructor's precondition.
+GeometricGraph graph_from_rows(std::vector<geom::Point> points, const Rows& above) {
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    edges.reserve(above.values.size());
+    for (std::size_t v = 0; v + 1 < above.offsets.size(); ++v) {
+        for (std::size_t k = above.offsets[v]; k < above.offsets[v + 1]; ++k) {
+            edges.emplace_back(static_cast<NodeId>(v), above.values[k]);
+        }
+    }
+    return GeometricGraph::from_edges(std::move(points), edges);
 }
 
 // ---- Connector stage -------------------------------------------------
@@ -101,23 +165,19 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
 
 // ---- ICDS stage ------------------------------------------------------
 
-GeometricGraph parallel_induce(ThreadPool& pool, const GeometricGraph& udg,
+GeometricGraph parallel_induce(ThreadPool& pool, std::size_t lanes,
+                               const GeometricGraph& udg,
                                const std::vector<bool>& in_backbone) {
-    const auto n = static_cast<NodeId>(udg.node_count());
-    std::vector<std::vector<NodeId>> kept(n);
-    pool.parallel_for(0, n, [&](std::size_t v) {
-        if (!in_backbone[v]) return;
-        for (const NodeId u : udg.neighbors(static_cast<NodeId>(v))) {
-            if (u > v && in_backbone[u]) kept[v].push_back(u);
-        }
-    });
-    // kept[v] inherits the adjacency order (ascending), so the
-    // concatenation is lexicographic — bulk construction applies.
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    for (NodeId v = 0; v < n; ++v) {
-        for (const NodeId u : kept[v]) edges.emplace_back(v, u);
-    }
-    return GeometricGraph::from_edges(udg.points(), edges);
+    // Rows inherit the adjacency order (ascending).
+    const Rows above = parallel_rows(pool, lanes, udg.node_count(),
+                                     [&](NodeId v, std::vector<NodeId>& row) {
+                                         row.clear();
+                                         if (!in_backbone[v]) return;
+                                         for (const NodeId u : udg.neighbors(v)) {
+                                             if (u > v && in_backbone[u]) row.push_back(u);
+                                         }
+                                     });
+    return graph_from_rows(udg.points(), above);
 }
 
 // ---- LDel stage ------------------------------------------------------
@@ -154,32 +214,81 @@ std::vector<TriangleKey> parallel_ldel1_triangles(ThreadPool& pool,
     return result;
 }
 
-std::vector<TriangleKey> parallel_planarize(ThreadPool& pool, const GeometricGraph& icds,
+/// Algorithm 3 over blocks of the filter's grid cells: each block runs
+/// the pair-once scan over its cell range, and the blocks' removal lists
+/// are ORed into one mask on the calling thread, in block order.
+std::vector<TriangleKey> parallel_planarize(ThreadPool& pool, std::size_t lanes,
+                                            const GeometricGraph& icds,
                                             std::vector<TriangleKey> triangles) {
     const proximity::Alg3Filter filter(icds, std::move(triangles));
-    std::vector<TriangleKey> kept;
-    if (pool.thread_count() <= 1) {
-        // Single lane: the pair-at-a-time removal scan marks both sides
-        // of each intersecting pair once, halving the geometry tests.
-        // keeps(i) == !removed[i] by the Alg3Filter contract, so the
-        // output matches the parallel path bit for bit.
-        std::vector<char> removed;
-        filter.removal_scan(removed);
-        for (std::size_t i = 0; i < filter.size(); ++i) {
-            if (!removed[i]) kept.push_back(filter.triangles()[i]);
-        }
-        return kept;
+    const std::size_t cells = filter.cell_count();
+    std::vector<std::vector<std::uint32_t>> lists(block_count(cells, lanes));
+    pool.parallel_for(0, lists.size(), [&](std::size_t b) {
+        const auto [first, last] = block_range(cells, lists.size(), b);
+        filter.removal_scan(first, last, lists[b]);
+    });
+    return filter.survivors(lists);
+}
+
+// ---- Assemble stage --------------------------------------------------
+
+/// LDel(ICDS) in one bulk construction: per node block (in parallel),
+/// each node's higher neighbors among its Gabriel edges and its kept
+/// triangles' sides.
+GeometricGraph parallel_ldel_graph(ThreadPool& pool, std::size_t lanes,
+                                   const GeometricGraph& icds,
+                                   const std::vector<TriangleKey>& triangles) {
+    // Triangle sides grouped at their smaller endpoint, in CSR form.
+    const std::size_t n = icds.node_count();
+    std::vector<std::size_t> offset(n + 1, 0);
+    for (const TriangleKey& t : triangles) {
+        offset[t.a + 1] += 2;
+        ++offset[t.b + 1];
     }
-    std::vector<char> keep(filter.size(), 0);
-    pool.parallel_for(0, filter.size(),
-                      [&](std::size_t i) { keep[i] = filter.keeps(i) ? 1 : 0; });
-    for (std::size_t i = 0; i < filter.size(); ++i) {
-        if (keep[i]) kept.push_back(filter.triangles()[i]);
+    for (std::size_t v = 0; v < n; ++v) offset[v + 1] += offset[v];
+    std::vector<NodeId> sides(offset[n]);
+    std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
+    for (const TriangleKey& t : triangles) {
+        sides[cursor[t.a]++] = t.b;
+        sides[cursor[t.a]++] = t.c;
+        sides[cursor[t.b]++] = t.c;
     }
-    return kept;
+
+    const Rows above =
+        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+            row.assign(sides.begin() + static_cast<std::ptrdiff_t>(offset[v]),
+                       sides.begin() + static_cast<std::ptrdiff_t>(offset[v + 1]));
+            for (const NodeId u : icds.neighbors(v)) {
+                if (u > v && proximity::is_gabriel_edge(icds, v, u)) row.push_back(u);
+            }
+            std::sort(row.begin(), row.end());
+            row.erase(std::unique(row.begin(), row.end()), row.end());
+        });
+    return graph_from_rows(icds.points(), above);
 }
 
 }  // namespace
+
+protocol::ClusterState cluster_staged(ThreadPool& pool, const GeometricGraph& udg,
+                                      protocol::ClusterPolicy policy) {
+    // The MIS rounds are serial (a few ms); the lists derived from the
+    // roles are the stage's bulk, and node-local.
+    const std::size_t lanes = stage_threads(pool);
+    const std::size_t n = udg.node_count();
+    protocol::ClusterState state;
+    state.role = protocol::elect_roles(udg, policy);
+    const Rows dominators =
+        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+            protocol::derive_dominators(udg, state.role, v, row);
+        });
+    state.dominators_of = graph::CowRows<NodeId>(dominators.offsets, dominators.values);
+    const Rows two_hop =
+        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+            protocol::derive_two_hop_dominators(udg, state, v, row);
+        });
+    state.two_hop_dominators_of = graph::CowRows<NodeId>(two_hop.offsets, two_hop.values);
+    return state;
+}
 
 GeometricGraph build_udg_staged(ThreadPool& pool, std::vector<geom::Point> points,
                                 double radius, core::PipelineStats* stats) {
@@ -200,21 +309,15 @@ GeometricGraph build_udg_staged(ThreadPool& pool, std::vector<geom::Point> point
 
     start = Clock::now();
     const double r2 = radius * radius;
-    std::vector<std::vector<NodeId>> above(n);
-    pool.parallel_for(0, n, [&](std::size_t v) {
-        grid.for_neighbors_above(points[v], static_cast<NodeId>(v), r2,
-                                 [&](NodeId u) { above[v].push_back(u); });
-        std::sort(above[v].begin(), above[v].end());
-    });
-    std::size_t total = 0;
-    for (const auto& list : above) total += list.size();
-    std::vector<std::pair<NodeId, NodeId>> edges;
-    edges.reserve(total);
-    for (NodeId v = 0; v < n; ++v) {
-        for (const NodeId u : above[v]) edges.emplace_back(v, u);
-    }
-    GeometricGraph g = GeometricGraph::from_edges(std::move(points), edges);
-    push_stage(stats, "udg", start, n, stage_threads(pool));
+    const std::size_t lanes = stage_threads(pool);
+    const Rows above =
+        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+            row.clear();
+            grid.for_neighbors_above(points[v], v, r2, [&](NodeId u) { row.push_back(u); });
+            std::sort(row.begin(), row.end());
+        });
+    GeometricGraph g = graph_from_rows(std::move(points), above);
+    push_stage(stats, "udg", start, n, lanes);
     return g;
 }
 
@@ -223,9 +326,8 @@ core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg
                                      core::PipelineStats* stats,
                                      verify::AuditTrail* trail) {
     const auto start = Clock::now();
-    protocol::ClusterState cluster =
-        protocol::cluster_reference(udg, options.cluster_policy);
-    push_stage(stats, "clustering", start, udg.node_count(), 1);
+    protocol::ClusterState cluster = cluster_staged(pool, udg, options.cluster_policy);
+    push_stage(stats, "clustering", start, udg.node_count(), stage_threads(pool));
     if (options.audit && trail != nullptr) {
         trail->stages.push_back(
             verify::audit_clustering(udg, cluster, options.audit_options));
@@ -261,7 +363,7 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
         result.in_backbone[v] =
             result.cluster.is_dominator(v) || connectors.is_connector[v];
     }
-    result.icds = parallel_induce(pool, udg, result.in_backbone);
+    result.icds = parallel_induce(pool, lanes, udg, result.in_backbone);
     push_stage(stats, "icds", start, n, lanes);
     if (audit) {
         trail->stages.push_back(verify::audit_icds(udg, result.in_backbone,
@@ -276,7 +378,7 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
         start = Clock::now();
         const std::size_t triangle_count = triangles.size();
         result.ldel_triangles =
-            parallel_planarize(pool, result.icds, std::move(triangles));
+            parallel_planarize(pool, lanes, result.icds, std::move(triangles));
         push_stage(stats, "planarize", start, triangle_count, lanes);
     } else {
         start = Clock::now();
@@ -285,23 +387,18 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
     }
 
     start = Clock::now();
-    result.ldel_icds = proximity::build_gabriel(result.icds);
-    for (const auto& t : result.ldel_triangles) {
-        result.ldel_icds.add_edge(t.a, t.b);
-        result.ldel_icds.add_edge(t.b, t.c);
-        result.ldel_icds.add_edge(t.a, t.c);
-    }
-
-    result.is_connector = connectors.is_connector;
+    result.ldel_icds = parallel_ldel_graph(pool, lanes, result.icds, result.ldel_triangles);
     // cds_edges is sorted and duplicate-free by the connector stage's
     // contract, exactly the bulk constructor's precondition.
     result.cds = GeometricGraph::from_edges(udg.points(), connectors.cds_edges);
-
+    result.is_connector = std::move(connectors.is_connector);
+    // The primed graphs stay on the calling thread: built on pool lanes,
+    // their multi-megabyte temporaries would stay resident in each
+    // lane's malloc arena and raise the process's peak RSS.
     result.cds_prime = core::with_dominatee_links(result.cds, result.cluster);
     result.icds_prime = core::with_dominatee_links(result.icds, result.cluster);
-    result.ldel_icds_prime =
-        core::with_dominatee_links(result.ldel_icds, result.cluster);
-    push_stage(stats, "assemble", start, n, 1);
+    result.ldel_icds_prime = core::with_dominatee_links(result.ldel_icds, result.cluster);
+    push_stage(stats, "assemble", start, n, lanes);
     if (audit) {
         // The LDel audit certifies the planarized graphs, so it runs
         // once they are assembled.

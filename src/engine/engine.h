@@ -2,16 +2,18 @@
 //
 // The paper's construction is node-local at every step — O(1) messages
 // and O(d log d) computation per node — so the engine parallelizes the
-// per-node work inside each stage: grid-cell UDG edge generation,
-// per-pair connector elections, per-node 1-hop local Delaunay
-// computation, and the per-triangle Algorithm-3 survival test.
+// per-node work inside each stage: grid-cell UDG edge generation, the
+// per-node dominator lists, per-pair connector elections, per-node 1-hop
+// local Delaunay computation, the Algorithm-3 pair scan over blocks of
+// grid cells, and the per-node Gabriel test of the assembled graph.
 //
 // Determinism contract: for any thread count, the engine produces
 // edge-for-edge identical output to the sequential centralized path
 // (`proximity::build_udg` + `core::build_backbone` with
-// Engine::kCentralized). Parallel loops write only index-owned slots and
-// results are merged in node order on the calling thread; nothing ever
-// depends on scheduling order. tests/test_engine.cpp asserts the
+// Engine::kCentralized). Parallel loops write only block-owned slots and
+// results are merged in block order on the calling thread; nothing ever
+// depends on scheduling order. On one lane every stage is one block, so
+// it does exactly the serial path's work. tests/test_engine.cpp asserts the
 // equality across thread counts, seeds, and workload shapes.
 //
 // Each stage records wall time, items processed, and thread count into
@@ -89,6 +91,14 @@ struct BuildResult {
                                                      double radius,
                                                      core::PipelineStats* stats = nullptr);
 
+/// Clustering stage on `pool`'s lanes: the MIS rounds (protocol::
+/// elect_roles) run serially, then the dominators_of and
+/// two_hop_dominators_of rows are derived in parallel node blocks.
+/// Identical output to protocol::cluster_reference.
+[[nodiscard]] protocol::ClusterState cluster_staged(ThreadPool& pool,
+                                                    const graph::GeometricGraph& udg,
+                                                    protocol::ClusterPolicy policy);
+
 /// Clustering → connectors → ICDS → LDel → planarize → assemble over an
 /// existing UDG, parallelizing the per-node work of each stage on
 /// `pool`'s lanes. Identical output to core::build_backbone with
@@ -106,10 +116,10 @@ struct BuildResult {
 /// clustering — the seam the tile-sharded builder (src/shard) plugs
 /// into: the MIS election is the one stage whose decision chains are not
 /// O(1)-hop local (a lowest-id chain propagates roles arbitrarily far),
-/// so the sharded engine elects roles once on the merged UDG and runs
-/// this per tile with the cluster state restricted to the tile's halo
-/// region. build_backbone_staged is exactly cluster_reference + this
-/// call. No clustering StageStats/StageAudit entry is appended here;
+/// so the sharded engine clusters once on the merged UDG (cluster_staged)
+/// and runs this per tile with the cluster state restricted to the
+/// tile's halo region. build_backbone_staged is exactly cluster_staged +
+/// this call. No clustering StageStats/StageAudit entry is appended here;
 /// the caller owns that stage.
 [[nodiscard]] core::Backbone build_backbone_from_cluster(
     ThreadPool& pool, const graph::GeometricGraph& udg,
@@ -129,8 +139,8 @@ class SpannerEngine {
 
     /// Full pipeline from raw node positions. Throws
     /// std::invalid_argument (core::validate_input) before any work when
-    /// a coordinate or the radius is not finite, or the radius is
-    /// negative.
+    /// a coordinate or the radius is not finite, the radius is negative,
+    /// or a coordinate is 2^62 radii or more.
     [[nodiscard]] BuildResult build(std::vector<geom::Point> points, double radius);
 
     /// Staged pipeline over an existing UDG (no UDG stage). `trail`

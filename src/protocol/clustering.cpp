@@ -147,10 +147,9 @@ ClusterState run_clustering(Net& net, const GeometricGraph& udg, ClusterPolicy p
     return state;
 }
 
-ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) {
+std::vector<Role> elect_roles(const GeometricGraph& udg, ClusterPolicy policy) {
     const auto n = static_cast<NodeId>(udg.node_count());
-    ClusterState state;
-    state.role.assign(n, Role::kDominatee);
+    std::vector<Role> role(n, Role::kDominatee);
 
     // Synchronized rounds: in each round, every white node that is a
     // local optimum among white neighbors becomes a dominator; its white
@@ -174,19 +173,25 @@ ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) 
         assert(!winners.empty() && "a global optimum always wins");
         for (const NodeId v : winners) {
             white[v] = 0;
-            state.role[v] = Role::kDominator;
+            role[v] = Role::kDominator;
             --remaining;
         }
         for (const NodeId v : winners) {
             for (const NodeId u : udg.neighbors(v)) {
                 if (white[u]) {
                     white[u] = 0;
-                    state.role[u] = Role::kDominatee;
+                    role[u] = Role::kDominatee;
                     --remaining;
                 }
             }
         }
     }
+    return role;
+}
+
+ClusterState cluster_reference(const GeometricGraph& udg, ClusterPolicy policy) {
+    ClusterState state;
+    state.role = elect_roles(udg, policy);
     derive_lists(udg, state);
     return state;
 }

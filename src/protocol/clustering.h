@@ -62,9 +62,14 @@ void derive_two_hop_dominators(const graph::GeometricGraph& udg, const ClusterSt
 [[nodiscard]] ClusterState run_clustering(Net& net, const graph::GeometricGraph& udg,
                                           ClusterPolicy policy = ClusterPolicy::kLowestId);
 
+/// The MIS rounds of cluster_reference alone: every node's role.
+[[nodiscard]] std::vector<Role> elect_roles(const graph::GeometricGraph& udg,
+                                            ClusterPolicy policy = ClusterPolicy::kLowestId);
+
 /// Centralized reference: simulates the same synchronized rounds without
-/// messages. Exactly equals the distributed protocol's output for any
-/// policy. Tests assert this.
+/// messages (elect_roles), then derives both lists serially with
+/// derive_dominators and derive_two_hop_dominators. Exactly equals the
+/// distributed protocol's output for any policy. Tests assert this.
 [[nodiscard]] ClusterState cluster_reference(const graph::GeometricGraph& udg,
                                              ClusterPolicy policy = ClusterPolicy::kLowestId);
 

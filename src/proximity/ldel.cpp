@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
 
 #include "delaunay/delaunay.h"
 #include "geom/predicates.h"
@@ -88,12 +89,6 @@ PairRemoval alg3_pair(const TrianglePoints& s, const TrianglePoints& t) {
     return {remove_s, remove_t};
 }
 
-/// alg3_pair's verdict on `t` for an intersecting partner `r`, where
-/// `r_first` says r has the smaller key.
-bool removed_by(const TrianglePoints& t, const TrianglePoints& r, bool r_first) {
-    return r_first ? alg3_pair(r, t).larger : alg3_pair(t, r).smaller;
-}
-
 GeometricGraph graph_from(const GeometricGraph& udg,
                           const std::vector<TriangleKey>& triangles) {
     GeometricGraph g = build_gabriel(udg);
@@ -165,7 +160,7 @@ bool alg3_removed_by(const GeometricGraph& g, TriangleKey t, TriangleKey r) {
     const TrianglePoints pt = ccw_points(g, t);
     const TrianglePoints pr = ccw_points(g, r);
     if (bbox_disjoint(pt, pr) || !intersect_impl(pt, pr)) return false;
-    return removed_by(pt, pr, r < t);
+    return r < t ? alg3_pair(pr, pt).larger : alg3_pair(pt, pr).smaller;
 }
 
 std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg) {
@@ -237,6 +232,7 @@ Alg3Filter::Alg3Filter(const GeometricGraph& g, std::vector<TriangleKey> triangl
     tris_.reserve(keys_.size());
     boxes_.reserve(keys_.size());
     double max_extent = 0.0;
+    double max_abs = 0.0;
     for (const auto& t : keys_) {
         const TrianglePoints p = ccw_points(g, t);
         tris_.push_back(p);
@@ -244,8 +240,13 @@ Alg3Filter::Alg3Filter(const GeometricGraph& g, std::vector<TriangleKey> triangl
                       std::min({p.a.y, p.b.y, p.c.y}), std::max({p.a.y, p.b.y, p.c.y})};
         boxes_.push_back(box);
         max_extent = std::max({max_extent, box.max_x - box.min_x, box.max_y - box.min_y});
+        max_abs = std::max({max_abs, -box.min_x, box.max_x, -box.min_y, box.max_y});
     }
-    cell_side_ = max_extent > 0.0 ? max_extent : 1.0;
+    // The side must cover every box extent; its floor keeps every
+    // coordinate/side ratio below 2^62, so cell_of never overflows its
+    // integer cast, whatever the coordinates.
+    cell_side_ = std::max(max_extent, std::ldexp(max_abs, -61));
+    if (cell_side_ == 0.0) cell_side_ = 1.0;
     // CSR bucket build: sort (cell, index) pairs, then split the index
     // column at cell boundaries. One allocation each, no per-cell nodes.
     std::vector<std::pair<std::pair<long long, long long>, std::uint32_t>> entries;
@@ -288,49 +289,47 @@ void Alg3Filter::for_each_box_neighbor(std::size_t i, Fn&& fn) const {
     }
 }
 
-void Alg3Filter::removal_scan(std::vector<char>& removed) const {
-    const std::size_t m = keys_.size();
-    removed.assign(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
+void Alg3Filter::removal_scan(std::size_t first_cell, std::size_t last_cell,
+                              std::vector<std::uint32_t>& removed) const {
+    // Cell order keeps consecutive triangles' neighbor blocks (and their
+    // cached corner points) shared.
+    for (std::uint32_t k = cell_offsets_[first_cell]; k < cell_offsets_[last_cell]; ++k) {
+        const std::uint32_t i = cell_items_[k];
         const auto& s = tris_[i];
         // The grid finds every intersecting pair from both sides; the
-        // j > i filter processes each unordered pair exactly once.
+        // j > i filter tests each unordered pair once, in the range
+        // holding its smaller index.
         for_each_box_neighbor(i, [&](std::size_t j) {
             if (j <= i) return;
             const auto& t = tris_[j];
             if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return;
             const PairRemoval r = alg3_pair(s, t);
-            if (r.smaller) removed[i] = 1;
-            if (r.larger) removed[j] = 1;
+            if (r.smaller) removed.push_back(i);
+            if (r.larger) removed.push_back(static_cast<std::uint32_t>(j));
         });
     }
 }
 
-bool Alg3Filter::keeps(std::size_t i) const {
-    const auto& s = tris_[i];
-    bool kept = true;
-    for_each_box_neighbor(i, [&](std::size_t j) {
-        if (!kept || j == i) return;
-        const auto& t = tris_[j];
-        if (bbox_disjoint(s, t) || !intersect_impl(s, t)) return;
-        // Index order is canonical key order for the sorted sets this
-        // runs on, matching removal_scan.
-        if (removed_by(s, t, j < i)) kept = false;
-    });
+std::vector<TriangleKey> Alg3Filter::survivors(
+    std::span<const std::vector<std::uint32_t>> removed) const {
+    std::vector<char> gone(size(), 0);
+    for (const auto& list : removed) {
+        for (const std::uint32_t i : list) gone[i] = 1;
+    }
+    std::vector<TriangleKey> kept;
+    for (std::size_t i = 0; i < size(); ++i) {
+        if (!gone[i]) kept.push_back(keys_[i]);
+    }
     return kept;
 }
 
 std::vector<TriangleKey> planarize_triangles(const GeometricGraph& udg,
                                              const std::vector<TriangleKey>& triangles) {
+    // The one-block scan: every cell in one range.
     const Alg3Filter filter(udg, triangles);
-    std::vector<char> removed;
-    filter.removal_scan(removed);
-
-    std::vector<TriangleKey> kept;
-    for (std::size_t i = 0; i < triangles.size(); ++i) {
-        if (!removed[i]) kept.push_back(triangles[i]);
-    }
-    return kept;
+    std::vector<std::uint32_t> removed;
+    filter.removal_scan(0, filter.cell_count(), removed);
+    return filter.survivors({&removed, 1});
 }
 
 GeometricGraph build_ldel1(const GeometricGraph& udg) {

@@ -15,6 +15,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -104,17 +105,18 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 [[nodiscard]] std::vector<TriangleKey> planarize_triangles(
     const graph::GeometricGraph& udg, const std::vector<TriangleKey>& triangles);
 
-/// Algorithm 3 with the removal rule factored into a per-triangle
-/// survival kernel. The constructor precomputes CCW corner points,
-/// bounding boxes, and a uniform bucket grid over the boxes (triangle
-/// sides are UDG edges, so box extents are bounded by the radius and
-/// only a 3x3 cell neighborhood can hold intersecting partners — the
-/// all-pairs scan collapses to near-linear). `keeps(i)` then decides
-/// triangle i against the set reading only immutable state, so distinct
-/// indices may be evaluated concurrently (the engine's parallel
-/// planarization stage does exactly that). `keeps` agrees
-/// index-for-index with `planarize_triangles`, including the
-/// deterministic larger-key tie-break for cocircular crossings.
+/// Algorithm 3 over a triangle set, with the pairs pruned by a uniform
+/// bucket grid. The constructor precomputes CCW corner points, bounding
+/// boxes, and a CSR grid of the boxes' min corners (triangle sides are
+/// UDG edges, so box extents are bounded by the radius and only a 3x3
+/// cell block can hold intersecting partners — the all-pairs scan
+/// collapses to near-linear). Scans read only this immutable state, so
+/// scans over disjoint cell ranges may run concurrently; each range
+/// tests the pairs whose smaller-index triangle it owns, so a partition
+/// of the cells tests every intersecting pair exactly once, and any
+/// partition yields the same survivors (`planarize_triangles` is the
+/// one-range scan). Index order must be key order (a sorted set) for
+/// the larger-key tie-break on cocircular crossings.
 class Alg3Filter {
   public:
     /// Triangle corners in CCW order.
@@ -125,20 +127,22 @@ class Alg3Filter {
     Alg3Filter(const graph::GeometricGraph& g, std::vector<TriangleKey> triangles);
 
     [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
-    [[nodiscard]] const std::vector<TriangleKey>& triangles() const noexcept {
-        return keys_;
-    }
 
-    /// True iff triangles()[i] survives Algorithm 3 against the set.
-    [[nodiscard]] bool keeps(std::size_t i) const;
+    /// Occupied grid cells; scan ranges index them in [0, cell_count()).
+    [[nodiscard]] std::size_t cell_count() const noexcept { return cell_keys_.size(); }
 
-    /// Removal scan over grid-pruned pairs: sets removed[i] per
-    /// triangle, agreeing with !keeps(i). Marks both sides of each
-    /// intersecting pair in one pass, so it does half the pair tests
-    /// per-index `keeps` calls need — sequential callers (and the
-    /// engine when the planarize stage runs on a single lane) should
-    /// prefer it.
-    void removal_scan(std::vector<char>& removed) const;
+    /// Pair-once removal scan over the triangles bucketed in cells
+    /// [first_cell, last_cell), walked in cell order: each triangle i is
+    /// tested against its grid neighbors j > i, and every index the pair
+    /// rule removes (i or j, so possibly outside the range, possibly
+    /// repeated) is appended to `removed`.
+    void removal_scan(std::size_t first_cell, std::size_t last_cell,
+                      std::vector<std::uint32_t>& removed) const;
+
+    /// The triangles no list names, in index order: the Algorithm 3
+    /// survivors once the lists' scans cover every cell.
+    [[nodiscard]] std::vector<TriangleKey> survivors(
+        std::span<const std::vector<std::uint32_t>> removed) const;
 
   private:
     struct Box {

@@ -99,7 +99,8 @@ void SpannerService::worker_loop() {
 
 void SpannerService::process(Ingest& ingest) {
     const dynamic::UpdateBatch& batch = ingest.batch;
-    const std::string invalid = dynamic::validate_batch(batch, spanner_->node_count());
+    const std::string invalid =
+        dynamic::validate_batch(batch, spanner_->node_count(), spanner_->radius());
     if (!invalid.empty()) {
         // Caught before apply: state untouched, nothing to publish.
         const std::lock_guard<std::mutex> lock(publish_mutex_);

@@ -24,13 +24,13 @@
 //     producer, reject the batch, or coalesce move-only batches into
 //     the newest queued one.
 //   * Poisoned-batch quarantine: structurally invalid batches
-//     (dynamic::validate_batch: non-finite coordinates, out-of-range
-//     ids) are rejected before apply; an optional post-apply audit gate
-//     (verify::audit_backbone every audit_every batches, or a
-//     caller-supplied check) rolls a batch that corrupted the
-//     invariants back to the last good positions via full rebuild.
-//     Either way the service keeps serving and records a
-//     QuarantineReport.
+//     (dynamic::validate_batch: non-finite or out-of-range
+//     coordinates, out-of-range ids) are rejected before apply; an
+//     optional post-apply audit gate (verify::audit_backbone every
+//     audit_every batches, or a caller-supplied check) rolls a batch
+//     that corrupted the invariants back to the last good positions
+//     via full rebuild. Either way the service keeps serving and
+//     records a QuarantineReport.
 //   * Watchdog: with watchdog_ms > 0 each apply runs on a disposable
 //     applier thread; an apply that wedges past the deadline is
 //     abandoned (the orphaned spanner and thread are kept alive until

@@ -175,13 +175,14 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
     above.shrink_to_fit();
     push_stage(result.stats, "udg", start, n, pool_.thread_count());
 
-    // Clustering runs globally: the lowest-id MIS has unbounded decision
-    // chains (see header), and one global election is cheap next to the
-    // geometric stages it unlocks for sharding.
+    // Clustering runs globally, through the engine's clustering stage:
+    // the lowest-id MIS has unbounded decision chains (see header), and
+    // one global election is cheap next to the geometric stages it
+    // unlocks for sharding.
     start = Clock::now();
     protocol::ClusterState cluster =
-        protocol::cluster_reference(result.udg, options_.cluster_policy);
-    push_stage(result.stats, "clustering", start, n, 1);
+        engine::cluster_staged(pool_, result.udg, options_.cluster_policy);
+    push_stage(result.stats, "clustering", start, n, pool_.thread_count());
     if (options_.audit) {
         result.audit.stages.push_back(
             verify::audit_clustering(result.udg, cluster, options_.audit_options));

@@ -101,7 +101,8 @@ class TileShardedEngine {
     /// (no points, radius 0) take the monolithic path — there is
     /// nothing to shard and the stage names reflect that. Throws
     /// std::invalid_argument (core::validate_input) before any work on
-    /// a non-finite coordinate or a non-finite or negative radius.
+    /// a non-finite coordinate, a non-finite or negative radius, or a
+    /// coordinate of 2^62 radii or more.
     [[nodiscard]] ShardBuildResult build(std::vector<geom::Point> points, double radius);
 
   private:

@@ -148,10 +148,14 @@ TEST(Degenerate, EveryBuildEntryPointRejectsNonFiniteInput) {
         std::vector<geom::Point> points;
         double radius;
     };
+    // A finite coordinate 2^62 radii or more from the origin would
+    // overflow the grid's 64-bit cell index, so it is rejected too.
     const std::vector<Case> cases{{"nan point", {{0.0, 0.0}, {nan, 0.5}}, 1.5},
                                   {"inf point", {{0.0, 0.0}, {1.0, -inf}}, 1.5},
                                   {"nan radius", good, nan},
-                                  {"negative radius", good, -1.0}};
+                                  {"negative radius", good, -1.0},
+                                  {"huge point", {{0.0, 0.0}, {1e300, 0.5}}, 1.5},
+                                  {"tiny radius", good, 1e-300}};
     engine::EngineOptions engine_options;
     engine_options.threads = 2;
     engine::SpannerEngine engine(engine_options);
@@ -167,6 +171,16 @@ TEST(Degenerate, EveryBuildEntryPointRejectsNonFiniteInput) {
                      std::invalid_argument);
         EXPECT_THROW(dynamic::DynamicSpanner(engine, c.points, c.radius),
                      std::invalid_argument);
+        // Update batches are held to the same rule: the points as joins,
+        // and as moves of existing nodes.
+        dynamic::UpdateBatch joins;
+        joins.joins = c.points;
+        EXPECT_NE(dynamic::validate_batch(joins, 0, c.radius), "");
+        dynamic::UpdateBatch moves;
+        for (std::size_t v = 0; v < c.points.size(); ++v) {
+            moves.moves.push_back({static_cast<graph::NodeId>(v), c.points[v]});
+        }
+        EXPECT_NE(dynamic::validate_batch(moves, c.points.size(), c.radius), "");
     }
     // Radius 0 stays a valid "no edges" build for the one-shot builders.
     EXPECT_EQ(engine.build(good, 0.0).udg.edge_count(), 0u);

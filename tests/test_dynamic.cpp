@@ -139,7 +139,7 @@ TEST(DynamicSpanner, InvalidBatchThrowsBeforeTouchingState) {
     UpdateBatch bad_leave;
     bad_leave.leaves = {n - 1, n - 1};  // the second names a swapped-away id
     for (const UpdateBatch* batch : {&nan_move, &inf_join, &bad_move_id, &bad_leave}) {
-        EXPECT_NE(validate_batch(*batch, dyn.node_count()), "");
+        EXPECT_NE(validate_batch(*batch, dyn.node_count(), dyn.radius()), "");
         EXPECT_THROW(dyn.apply(*batch), std::invalid_argument);
         EXPECT_EQ(dyn.positions(), points);
         EXPECT_EQ(dyn.udg(), before_udg);
@@ -148,7 +148,7 @@ TEST(DynamicSpanner, InvalidBatchThrowsBeforeTouchingState) {
 
     UpdateBatch leave_then_last;
     leave_then_last.leaves = {0, n - 2};  // in range after the first swap-remove
-    EXPECT_EQ(validate_batch(leave_then_last, dyn.node_count()), "");
+    EXPECT_EQ(validate_batch(leave_then_last, dyn.node_count(), dyn.radius()), "");
     dyn.apply(leave_then_last);
     EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
 }

@@ -9,12 +9,14 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "core/backbone.h"
 #include "core/workload.h"
 #include "engine/batch.h"
 #include "engine/thread_pool.h"
+#include "proximity/ldel.h"
 #include "proximity/udg.h"
 #include "test_util.h"
 
@@ -97,6 +99,7 @@ std::vector<geom::Point> make_points(Shape shape, const core::WorkloadConfig& co
 void expect_backbones_equal(const core::Backbone& expected, const core::Backbone& got) {
     EXPECT_EQ(expected.cluster.role, got.cluster.role);
     EXPECT_EQ(expected.cluster.dominators_of, got.cluster.dominators_of);
+    EXPECT_EQ(expected.cluster.two_hop_dominators_of, got.cluster.two_hop_dominators_of);
     EXPECT_EQ(expected.is_connector, got.is_connector);
     EXPECT_EQ(expected.in_backbone, got.in_backbone);
     EXPECT_EQ(expected.cds, got.cds);
@@ -181,6 +184,62 @@ TEST(Engine, HighestDegreePolicyMatchesSequentialPath) {
     expect_backbones_equal(expected, engine.build_backbone(udg));
 }
 
+/// `udg` with every `every`-th link (in edge order) lost: a lossy radio
+/// graph, which the pipeline takes like any other. Over a full UDG,
+/// LDel⁽¹⁾(ICDS) almost never has crossing triangles; lost links hide
+/// circumcircle witnesses, so Algorithm 3 has pairs to decide.
+GeometricGraph drop_links(const GeometricGraph& udg, std::size_t every) {
+    std::vector<std::pair<graph::NodeId, graph::NodeId>> kept;
+    std::size_t k = 0;
+    for (const auto& edge : udg.edges()) {
+        if (++k % every != 0) kept.push_back(edge);
+    }
+    return GeometricGraph::from_edges(udg.points(), kept);
+}
+
+TEST(Engine, PlanarizeCellBlocksMatchSerialAlgorithm3) {
+    // The planarize stage splits Algorithm 3's pair scan over blocks of
+    // grid cells. Pairs whose triangles fall in different blocks must
+    // still be tested exactly once, so at every lane count the kept set
+    // equals the one-block scan over the same LDel⁽¹⁾ triangles. The
+    // lattice has integer coordinates, so many of its crossings are
+    // exactly cocircular and decided by the key tie-break.
+    core::WorkloadConfig clustered;
+    clustered.node_count = 2400;
+    clustered.side = 30.0;
+    clustered.radius = 1.0;
+    clustered.seed = 41;
+    core::WorkloadConfig lattice;
+    lattice.node_count = 1600;  // 40 x 40 at spacing side / 41 = 1
+    lattice.side = 41.0;
+    lattice.radius = 3.2;
+    const std::vector<std::pair<const char*, GeometricGraph>> instances{
+        {"clustered",
+         drop_links(proximity::build_udg(core::clustered_points(clustered, 100),
+                                         clustered.radius),
+                    2)},
+        {"lattice",
+         drop_links(proximity::build_udg(core::grid_points(lattice, 0.0), lattice.radius),
+                    3)}};
+
+    for (const auto& [name, graph] : instances) {
+        SCOPED_TRACE(name);
+        const core::Backbone expected =
+            core::build_backbone(graph, {core::Engine::kCentralized});
+        const auto ldel = proximity::ldel1_triangles(expected.icds);
+        const auto serial = proximity::planarize_triangles(expected.icds, ldel);
+        ASSERT_LT(serial.size(), ldel.size()) << "no crossing pair to decide";
+        for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+            EngineOptions options;
+            options.threads = threads;
+            SpannerEngine engine(options);
+            const core::Backbone got = engine.build_backbone(graph);
+            EXPECT_EQ(got.ldel_triangles, serial) << "threads=" << threads;
+            expect_backbones_equal(expected, got);
+        }
+    }
+}
+
 // ---- StageStats ------------------------------------------------------
 
 TEST(Engine, RecordsOneStatsEntryPerStage) {
@@ -200,6 +259,9 @@ TEST(Engine, RecordsOneStatsEntryPerStage) {
         EXPECT_GE(s.wall_ms, 0.0) << s.name;
         EXPECT_GE(s.threads, 1u) << s.name;
         EXPECT_LE(s.threads, 2u) << s.name;
+        if (s.name == "clustering" || s.name == "planarize" || s.name == "assemble") {
+            EXPECT_EQ(s.threads, 2u) << s.name;
+        }
     }
     EXPECT_EQ(result.stats.stages.front().items, config.node_count);
     EXPECT_GE(result.stats.total_ms(), 0.0);

@@ -147,5 +147,19 @@ TEST(Ldel, SingleTriangleNetwork) {
     EXPECT_EQ(kept, tris);
 }
 
+TEST(Ldel, PlanarizeHandlesCoordinatesFarBeyondTriangleExtents) {
+    // A crossing cocircular pair (the unit square's two diagonal
+    // triangles) next to a flat triangle 1e300 away: the bucket grid's
+    // cell side is floored so the far coordinates still get in-range
+    // cell indices, and the tie-break removes the larger key as usual.
+    const GeometricGraph g({{0, 0}, {1, 0}, {1, 1}, {0, 1},
+                            {1e300, 0}, {1e300, 1}, {1e300, 2}});
+    const TriangleKey kept_diagonal = make_triangle_key(0, 1, 2);
+    const TriangleKey far = make_triangle_key(4, 5, 6);
+    const auto kept =
+        planarize_triangles(g, {kept_diagonal, make_triangle_key(0, 1, 3), far});
+    EXPECT_EQ(kept, (std::vector<TriangleKey>{kept_diagonal, far}));
+}
+
 }  // namespace
 }  // namespace geospanner::proximity

@@ -13,7 +13,9 @@
 // its own "grid" row — at the largest n on one thread, where the stage
 // mix actually matters. Each single-instance row also carries the
 // exact-predicate fallback share of that build (pred_exact_share),
-// tying the float filter's hit rate to the trajectory.
+// tying the float filter's hit rate to the trajectory. A last section
+// builds small connected instances with the verify:: stage audits off
+// and on ("audit" rows): the invariant-auditing overhead.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -160,6 +162,46 @@ int main() {
     }
     std::cout << batch.str();
     io::maybe_write_csv("engine_scaling_batch", batch);
+
+    // ---- Audit overhead: the same builds with stage audits off / on. ----
+    io::Table audit({"n", "audits_off_ms", "audits_on_ms", "overhead"});
+    const std::size_t audit_trials = bench::trials_or(3);
+    for (const std::size_t n : {std::size_t{50}, std::size_t{100}, std::size_t{200}}) {
+        core::WorkloadConfig config;
+        config.node_count = n;
+        config.side = 250.0;
+        config.radius = 60.0;
+        config.seed = 8;
+        const auto udg = core::random_connected_udg(config);
+        if (!udg) continue;
+        double ms[2] = {0.0, 0.0};
+        for (const bool on : {false, true}) {
+            engine::EngineOptions options;
+            options.threads = 2;
+            options.audit = on;
+            options.audit_options.radius = config.radius;
+            engine::SpannerEngine eng(options);
+            constexpr int kBuilds = 20;
+            const auto builds = [&] {
+                for (int i = 0; i < kBuilds; ++i) (void)eng.build(udg->points(), config.radius);
+            };
+            double best = run_ms(builds);
+            for (std::size_t t = 1; t < audit_trials; ++t) best = std::min(best, run_ms(builds));
+            ms[on ? 1 : 0] = best / kBuilds;
+        }
+        const double overhead = ms[0] > 0.0 ? ms[1] / ms[0] : 0.0;
+        audit.begin_row().cell(n).cell(ms[0], 3).cell(ms[1], 3).cell(overhead, 2);
+        auto obj = sink.row();
+        obj.add("mode", "audit")
+            .add("n", n)
+            .add("threads", std::size_t{2})
+            .add("hardware_threads", hw)
+            .add("audits_off_ms", ms[0])
+            .add("audits_on_ms", ms[1])
+            .add("overhead", overhead);
+        sink.emit(obj);
+    }
+    std::cout << "\nper-build cost with stage audits off / on (threads=2):\n" << audit.str();
     std::cout << "\nJSON trajectory appended to " << sink.path() << '\n';
     return 0;
 }

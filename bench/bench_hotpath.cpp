@@ -8,7 +8,10 @@
 //    workload, with the float filter's hit rate from the predicate
 //    counters (the exact-fallback share is the robustness tax);
 //  * Bowyer–Watson — workspace-reusing Delaunay insertion rate on
-//    Morton-ordered inserts (points/s).
+//    Morton-ordered inserts (points/s);
+//  * local Delaunay — one node's local_triangles_at over d = 8..128
+//    neighbors, the paper's O(d log d) per-node computation (ns per
+//    call and per d·log2 d, which stays flat if the claim holds).
 //
 // One JSON object per kernel is appended to $GS_BENCH_JSON (default
 // BENCH_hotpath.json). GS_BENCH_TRIALS controls repetitions (best-of);
@@ -25,6 +28,8 @@
 #include "delaunay/delaunay.h"
 #include "geom/predicates.h"
 #include "proximity/cell_grid.h"
+#include "proximity/ldel.h"
+#include "proximity/udg.h"
 #include "random/rng.h"
 
 using namespace geospanner;
@@ -156,6 +161,39 @@ int main() {
             .add("wall_ms", ms)
             .add("inserts_per_s", inserts_per_s)
             .add("triangles", triangles);
+        sink.emit(obj);
+    }
+
+    // ---- Local Delaunay per node vs neighborhood size d. ----
+    for (std::size_t d = 8; d <= 128; d *= 2) {
+        // Node 0 at the origin with d neighbors drawn inside the unit disk.
+        rnd::Xoshiro256 rng(4);
+        std::vector<geom::Point> pts{{0.0, 0.0}};
+        while (pts.size() < d + 1) {
+            const geom::Point p{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+            if (geom::squared_norm(p) <= 1.0) pts.push_back(p);
+        }
+        const auto udg = proximity::build_udg(pts, 1.0);
+        proximity::LocalDelaunayScratch scratch;
+        std::vector<proximity::TriangleKey> tris;
+        const std::size_t calls = 200'000 / d;
+        const double ms = best_of(trials, [&] {
+            for (std::size_t i = 0; i < calls; ++i) {
+                proximity::local_triangles_at(udg, 0, scratch, tris);
+            }
+        });
+        const double ns = 1e6 * ms / static_cast<double>(calls);
+        const double per_dlogd =
+            ns / (static_cast<double>(d) * std::log2(static_cast<double>(d)));
+        std::cout << "local delaunay d=" << d << "  " << ns << " ns/call, " << per_dlogd
+                  << " ns per d·log2 d (" << tris.size() << " triangles)\n";
+        auto obj = sink.row();
+        obj.add("kernel", "local_delaunay")
+            .add("d", d)
+            .add("calls", calls)
+            .add("ns_per_call", ns)
+            .add("ns_per_dlogd", per_dlogd)
+            .add("triangles", tris.size());
         sink.emit(obj);
     }
 

@@ -89,9 +89,8 @@ class SpannerBackend {
     /// Builds from raw node positions: constructs the UDG, then the
     /// spanner. Backends may override to fuse the stages (the engine
     /// backend runs its own staged UDG construction). Throws
-    /// std::invalid_argument (core::validate_input) before any work on
-    /// a non-finite coordinate, a non-finite or negative radius, or a
-    /// coordinate of 2^62 radii or more.
+    /// std::invalid_argument before any work when core::input_error
+    /// rejects the points or radius.
     [[nodiscard]] virtual BackendResult build_points(std::vector<geom::Point> points,
                                                      double radius);
 };

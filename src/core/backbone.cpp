@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 
+#include "core/input.h"
 #include "protocol/clustering.h"
 #include "proximity/classic.h"
 #include "proximity/ldel_k.h"
@@ -80,6 +81,7 @@ GeometricGraph with_dominatee_links(const GeometricGraph& base,
 }
 
 Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {
+    validate_input(udg.points(), 0.0);
     const auto n = static_cast<NodeId>(udg.node_count());
     Backbone result;
 

@@ -83,6 +83,8 @@ struct BuildOptions {
 };
 
 /// Builds all backbone structures from a (connected) unit disk graph.
+/// Throws std::invalid_argument before any work when core::input_error
+/// rejects the graph's points.
 [[nodiscard]] Backbone build_backbone(const graph::GeometricGraph& udg,
                                       BuildOptions options = {});
 

@@ -4,8 +4,12 @@
 #include <array>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -26,6 +30,17 @@ namespace {
 /// patches run inline (results are identical either way — kernels write
 /// index-owned slots and commit in index order).
 constexpr std::size_t kParallelThreshold = 64;
+
+/// body(i) for every i < count, on the pool from kParallelThreshold
+/// items up.
+void for_items(engine::ThreadPool& pool, std::size_t count,
+               const std::function<void(std::size_t)>& body) {
+    if (count >= kParallelThreshold) {
+        pool.parallel_for(0, count, body);
+    } else {
+        for (std::size_t i = 0; i < count; ++i) body(i);
+    }
+}
 
 std::uint64_t mix64(std::uint64_t z) noexcept {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -68,26 +83,103 @@ class StageTimer {
     std::chrono::steady_clock::time_point start_;
 };
 
+/// One merge pass over two sorted lists: removed(x) for every x only in
+/// `stale`, added(x) for every x only in `want`.
+template <typename Removed, typename Added>
+void diff_sorted(const std::vector<graph::NodeId>& stale,
+                 const std::vector<graph::NodeId>& want, Removed&& removed, Added&& added) {
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < stale.size() || j < want.size()) {
+        if (j == want.size() || (i < stale.size() && stale[i] < want[j])) {
+            removed(stale[i++]);
+        } else if (i == stale.size() || want[j] < stale[i]) {
+            added(want[j++]);
+        } else {
+            ++i;
+            ++j;
+        }
+    }
+}
+
+struct Box {
+    double min_x, max_x, min_y, max_y;
+};
+
+Box box_of(geom::Point a, geom::Point b, geom::Point c) {
+    return {std::min({a.x, b.x, c.x}), std::max({a.x, b.x, c.x}),
+            std::min({a.y, b.y, c.y}), std::max({a.y, b.y, c.y})};
+}
+
+bool boxes_meet(const Box& p, const Box& q) {
+    return p.min_x <= q.max_x && q.min_x <= p.max_x && p.min_y <= q.max_y &&
+           q.min_y <= p.max_y;
+}
+
+/// Calls fn(t) once for every LDel⁽¹⁾ triangle t, by the votes in
+/// `local`, whose box meets one of `boxes`. A triangle is found at its
+/// least corner. Its sides are UDG edges, so every corner of a triangle
+/// meeting a box lies within the radius (the grid's cell side) of it.
+/// The UDG test rounds, so a side's exact length can exceed the radius
+/// by a few ulps; `reach` covers that. Each grid cell is read once, for
+/// all the boxes whose widened extent reaches it.
+template <typename Fn>
+void for_each_ldel1_meeting(const DynamicCellGrid& grid,
+                            const std::vector<geom::Point>& points,
+                            const std::vector<bool>& in_backbone,
+                            const std::vector<std::vector<proximity::TriangleKey>>& local,
+                            std::span<const Box> boxes, Fn&& fn) {
+    const double r = grid.cell_side();
+    const double reach = r * (1.0 + std::ldexp(1.0, -40));
+    std::vector<std::pair<proximity::CellCoord, std::size_t>> reached;  // (cell, box)
+    reached.reserve(16 * boxes.size());  // a widened box spans about 4x4 cells
+    for (std::size_t i = 0; i < boxes.size(); ++i) {
+        const Box& b = boxes[i];
+        const auto lo = proximity::cell_of({b.min_x - reach, b.min_y - reach}, r);
+        const auto hi = proximity::cell_of({b.max_x + reach, b.max_y + reach}, r);
+        for (long long cx = lo.first; cx <= hi.first; ++cx) {
+            for (long long cy = lo.second; cy <= hi.second; ++cy) {
+                reached.push_back({{cx, cy}, i});
+            }
+        }
+    }
+    std::sort(reached.begin(), reached.end());
+    for (std::size_t first = 0, last = 0; first < reached.size(); first = last) {
+        while (last < reached.size() && reached[last].first == reached[first].first) ++last;
+        const auto cell = grid.cells().find(reached[first].first);
+        if (cell == grid.cells().end()) continue;
+        const auto meets_one = [&](const Box& b) {
+            for (std::size_t k = first; k < last; ++k) {
+                if (boxes_meet(boxes[reached[k].second], b)) return true;
+            }
+            return false;
+        };
+        for (const graph::NodeId u : cell->second) {
+            // Nodes off the backbone (most of a dense cell) list nothing.
+            if (!in_backbone[u]) continue;
+            const geom::Point p = points[u];
+            if (!meets_one({p.x - reach, p.x + reach, p.y - reach, p.y + reach})) continue;
+            // Every key in local[u] contains u, so those with least
+            // corner u are the sorted list's tail.
+            const auto& list = local[u];
+            auto it = std::lower_bound(list.begin(), list.end(),
+                                       proximity::TriangleKey{u, 0, 0});
+            for (; it != list.end(); ++it) {
+                const proximity::TriangleKey t = *it;
+                if (meets_one(box_of(p, points[t.b], points[t.c])) &&
+                    proximity::ldel1_member(local, t)) {
+                    fn(t);
+                }
+            }
+        }
+    }
+}
+
 }  // namespace
 
 std::size_t DynamicSpanner::PairHash::operator()(Pair p) const noexcept {
     return static_cast<std::size_t>(
         mix64((static_cast<std::uint64_t>(p.first) << 32) | p.second));
-}
-
-std::size_t DynamicSpanner::TriHash::operator()(TriangleKey t) const noexcept {
-    std::uint64_t h = mix64((static_cast<std::uint64_t>(t.a) << 32) | t.b);
-    return static_cast<std::size_t>(mix64(h ^ (static_cast<std::uint64_t>(t.c) << 16)));
-}
-
-bool DynamicSpanner::EdgeRefs::inc(Pair e) { return ++counts[e] == 1; }
-
-bool DynamicSpanner::EdgeRefs::dec(Pair e) {
-    const auto it = counts.find(e);
-    assert(it != counts.end() && it->second > 0);
-    if (--it->second > 0) return false;
-    counts.erase(it);
-    return true;
 }
 
 DynamicSpanner::PatchContext::PatchContext(std::size_t n)
@@ -188,15 +280,6 @@ void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
     connector_refs_.assign(n, 0);
     cds_refs_.clear();
     local_tris_.assign(n, {});
-    ldel1_.clear();
-    kept_.clear();
-    tri_bins_.clear();
-    tri_grid_.clear();
-    gabriel_.clear();
-    ldel_icds_refs_.clear();
-    cds_prime_refs_.clear();
-    icds_prime_refs_.clear();
-    ldel_icds_prime_refs_.clear();
 
     // Everything dirty: the patch kernels then perform the full build,
     // so the from-scratch and incremental paths share one code path.
@@ -373,6 +456,7 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
         if (ctx.moved_flag[mv.node] == 0) {
             ctx.moved_flag[mv.node] = 1;
             ctx.moved.push_back(mv.node);
+            ctx.moved_from.emplace(mv.node, old);
             ctx.touch(mv.node);
         }
     }
@@ -404,42 +488,27 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
     const auto collect = [&](std::size_t i) {
         grid_.collect_neighbors(points_, radius_, affected[i], desired[i]);
     };
-    if (affected.size() >= kParallelThreshold) {
-        engine_->pool().parallel_for(0, affected.size(), collect);
-    } else {
-        for (std::size_t i = 0; i < affected.size(); ++i) collect(i);
-    }
+    for_items(engine_->pool(), affected.size(), collect);
     std::vector<NodeId> stale;
     for (std::size_t ai = 0; ai < affected.size(); ++ai) {
         const NodeId v = affected[ai];
         stale.assign(udg_.neighbors(v).begin(), udg_.neighbors(v).end());
-        // stale and desired are both sorted: one merge pass yields the
-        // adds (desired only) and removals (stale only).
-        const std::vector<NodeId>& want = desired[ai];
-        std::size_t i = 0;
-        std::size_t j = 0;
-        while (i < stale.size() || j < want.size()) {
-            if (j == want.size() || (i < stale.size() && stale[i] < want[j])) {
-                const NodeId u = stale[i++];
-                if (udg_.remove_edge(v, u)) {
-                    ctx.udg_removed.push_back(norm(v, u));
-                    ctx.udg_removed_adj[v].push_back(u);
-                    ctx.udg_removed_adj[u].push_back(v);
-                    mark_adj(v);
-                    mark_adj(u);
-                }
-            } else if (i == stale.size() || want[j] < stale[i]) {
-                const NodeId u = want[j++];
-                if (udg_.add_edge(v, u)) {
-                    ctx.udg_added.push_back(norm(v, u));
-                    mark_adj(v);
-                    mark_adj(u);
-                }
-            } else {
-                ++i;
-                ++j;
-            }
-        }
+        diff_sorted(
+            stale, desired[ai],
+            [&](NodeId u) {
+                if (!udg_.remove_edge(v, u)) return;
+                ctx.udg_removed.push_back(norm(v, u));
+                ctx.udg_removed_adj[v].push_back(u);
+                ctx.udg_removed_adj[u].push_back(v);
+                mark_adj(v);
+                mark_adj(u);
+            },
+            [&](NodeId u) {
+                if (!udg_.add_edge(v, u)) return;
+                ctx.udg_added.push_back(norm(v, u));
+                mark_adj(v);
+                mark_adj(u);
+            });
     }
     sort_unique(ctx.adj_changed);
     sort_unique(ctx.udg_added);
@@ -544,14 +613,20 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
 
 // ---- Stage 2: connector pair elections -------------------------------
 
-bool DynamicSpanner::delete_pair(PairLedger& ledger, Pair key,
-                                 std::vector<NodeId>& conn_touched) {
+bool DynamicSpanner::delete_pair(PairLedger& ledger, Pair key, PatchContext& ctx) {
     const auto it = ledger.entries.find(key);
     if (it == ledger.entries.end()) return false;
     for (const NodeId c : it->second.connectors) {
-        if (--connector_refs_[c] == 0) conn_touched.push_back(c);
+        if (--connector_refs_[c] == 0) ctx.conn_touched.push_back(c);
     }
-    for (const Pair& e : it->second.edges) cds_edge_dec(e);
+    for (const Pair& e : it->second.edges) {
+        const auto ref = cds_refs_.find(e);
+        assert(ref != cds_refs_.end() && ref->second > 0);
+        if (--ref->second > 0) continue;
+        cds_refs_.erase(ref);
+        backbone_.cds.remove_edge(e.first, e.second);
+        ctx.cds_changed.push_back(e);
+    }
     ledger.by_node[key.first].erase(key);
     ledger.by_node[key.second].erase(key);
     ledger.entries.erase(it);
@@ -559,12 +634,16 @@ bool DynamicSpanner::delete_pair(PairLedger& ledger, Pair key,
 }
 
 void DynamicSpanner::commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome,
-                                 std::vector<NodeId>& conn_touched) {
+                                 PatchContext& ctx) {
     if (outcome.connectors.empty() && outcome.edges.empty()) return;
     for (const NodeId c : outcome.connectors) {
-        if (connector_refs_[c]++ == 0) conn_touched.push_back(c);
+        if (connector_refs_[c]++ == 0) ctx.conn_touched.push_back(c);
     }
-    for (const Pair& e : outcome.edges) cds_edge_inc(e);
+    for (const Pair& e : outcome.edges) {
+        if (cds_refs_[e]++ > 0) continue;
+        backbone_.cds.add_edge(e.first, e.second);
+        ctx.cds_changed.push_back(e);
+    }
     ledger.by_node[key.first].insert(key);
     ledger.by_node[key.second].insert(key);
     const bool inserted = ledger.entries.emplace(key, std::move(outcome)).second;
@@ -750,28 +829,25 @@ void DynamicSpanner::plan_connectors(const PatchContext& ctx,
     }
 }
 
-void DynamicSpanner::commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx,
-                                           std::vector<NodeId>& conn_touched) {
+void DynamicSpanner::commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx) {
     for (const NodeId v : plan.touched) ctx.touch(v);
     // A pair with both endpoints dirty in the same component is planned
     // for deletion twice; delete_pair is idempotent and only real
     // deletions count.
     std::size_t deleted = 0;
     for (const auto& [which, key] : plan.deletions) {
-        if (delete_pair(ledgers_[which], key, conn_touched)) ++deleted;
+        if (delete_pair(ledgers_[which], key, ctx)) ++deleted;
     }
     for (auto& commit : plan.commits) {
-        commit_pair(ledgers_[commit.ledger], commit.key, std::move(commit.outcome),
-                    conn_touched);
+        commit_pair(ledgers_[commit.ledger], commit.key, std::move(commit.outcome), ctx);
     }
     ctx.pairs_deleted += deleted;
     ctx.pairs_reelected += plan.pairs_reelected;
 }
 
-void DynamicSpanner::settle_connector_flags(std::vector<NodeId>& conn_touched,
-                                            PatchContext& ctx) {
-    sort_unique(conn_touched);
-    for (const NodeId c : conn_touched) {
+void DynamicSpanner::settle_connector_flags(PatchContext& ctx) {
+    sort_unique(ctx.conn_touched);
+    for (const NodeId c : ctx.conn_touched) {
         const bool now = connector_refs_[c] > 0;
         if (backbone_.is_connector[c] != now) {
             backbone_.is_connector[c] = now;
@@ -799,29 +875,18 @@ void DynamicSpanner::stage_connectors_componentwise(
     } else {
         for (std::size_t i = 0; i < comps.size(); ++i) body(i);
     }
-    std::vector<NodeId> conn_touched;
-    for (ConnectorPlan& plan : plans) commit_connector_plan(plan, ctx, conn_touched);
-    settle_connector_flags(conn_touched, ctx);
+    for (ConnectorPlan& plan : plans) commit_connector_plan(plan, ctx);
+    settle_connector_flags(ctx);
 }
 
 // ---- Stage 3: induced backbone (ICDS) --------------------------------
 
-void DynamicSpanner::icds_edge_added(NodeId u, NodeId v, PatchContext& ctx) {
-    const Pair e = norm(u, v);
-    ctx.icds_added.push_back(e);
-    ctx.icds_adj_changed.insert(ctx.icds_adj_changed.end(), {u, v});
-    if (icds_prime_refs_.inc(e)) backbone_.icds_prime.add_edge(e.first, e.second);
-}
-
-void DynamicSpanner::icds_edge_removed(NodeId u, NodeId v, PatchContext& ctx) {
-    const Pair e = norm(u, v);
-    ctx.icds_removed.push_back(e);
-    ctx.icds_adj_changed.insert(ctx.icds_adj_changed.end(), {u, v});
-    if (icds_prime_refs_.dec(e)) backbone_.icds_prime.remove_edge(e.first, e.second);
-}
-
 void DynamicSpanner::stage_icds(PatchContext& ctx) {
     auto& in_backbone = backbone_.in_backbone;
+    const auto record = [&](std::vector<Pair>& delta, NodeId u, NodeId v) {
+        delta.push_back(norm(u, v));
+        ctx.icds_adj_changed.insert(ctx.icds_adj_changed.end(), {u, v});
+    };
 
     std::vector<NodeId> flips = ctx.roles_changed;
     flips.insert(flips.end(), ctx.connector_changed.begin(),
@@ -843,25 +908,25 @@ void DynamicSpanner::stage_icds(PatchContext& ctx) {
     // backbone nodes, a node leaving drops every incident ICDS edge.
     for (const auto& [u, v] : ctx.udg_added) {
         if (in_backbone[u] && in_backbone[v] && backbone_.icds.add_edge(u, v)) {
-            icds_edge_added(u, v, ctx);
+            record(ctx.icds_added, u, v);
         }
     }
     for (const auto& [u, v] : ctx.udg_removed) {
-        if (backbone_.icds.remove_edge(u, v)) icds_edge_removed(u, v, ctx);
+        if (backbone_.icds.remove_edge(u, v)) record(ctx.icds_removed, u, v);
     }
     std::vector<NodeId> incident;
     for (const NodeId v : ctx.backbone_changed) {
         if (in_backbone[v]) {
             for (const NodeId u : udg_.neighbors(v)) {
                 if (in_backbone[u] && backbone_.icds.add_edge(v, u)) {
-                    icds_edge_added(v, u, ctx);
+                    record(ctx.icds_added, v, u);
                 }
             }
         } else {
             incident.assign(backbone_.icds.neighbors(v).begin(),
                             backbone_.icds.neighbors(v).end());
             for (const NodeId u : incident) {
-                if (backbone_.icds.remove_edge(v, u)) icds_edge_removed(v, u, ctx);
+                if (backbone_.icds.remove_edge(v, u)) record(ctx.icds_removed, v, u);
             }
         }
     }
@@ -871,64 +936,6 @@ void DynamicSpanner::stage_icds(PatchContext& ctx) {
 }
 
 // ---- Stage 4: LDel¹ triangles + Algorithm-3 survival -----------------
-
-DynamicSpanner::TriBin DynamicSpanner::bin_of(TriangleKey t) const {
-    const geom::Point pa = points_[t.a];
-    const geom::Point pb = points_[t.b];
-    const geom::Point pc = points_[t.c];
-    TriBin bin;
-    bin.min_x = std::min({pa.x, pb.x, pc.x});
-    bin.max_x = std::max({pa.x, pb.x, pc.x});
-    bin.min_y = std::min({pa.y, pb.y, pc.y});
-    bin.max_y = std::max({pa.y, pb.y, pc.y});
-    bin.cell = proximity::cell_of({bin.min_x, bin.min_y}, radius_);
-    return bin;
-}
-
-void DynamicSpanner::tri_insert(TriangleKey t) {
-    const TriBin bin = bin_of(t);
-    tri_bins_.emplace(t, bin);
-    tri_grid_[bin.cell].push_back(t);
-}
-
-void DynamicSpanner::tri_remove(TriangleKey t) {
-    const auto it = tri_bins_.find(t);
-    assert(it != tri_bins_.end());
-    auto& cell = tri_grid_[it->second.cell];
-    cell.erase(std::find(cell.begin(), cell.end(), t));
-    if (cell.empty()) tri_grid_.erase(it->second.cell);
-    tri_bins_.erase(it);
-}
-
-template <typename Fn>
-bool DynamicSpanner::for_each_box_partner(const TriBin& box, Fn&& fn) const {
-    // Every LDel¹ triangle has sides <= radius, so any triangle whose
-    // box meets `box` has its min corner within one cell (= radius)
-    // below the box and never above its max corner.
-    const auto lo = proximity::cell_of({box.min_x - radius_, box.min_y - radius_}, radius_);
-    const auto hi = proximity::cell_of({box.max_x, box.max_y}, radius_);
-    for (long long cx = lo.first; cx <= hi.first; ++cx) {
-        for (long long cy = lo.second; cy <= hi.second; ++cy) {
-            const auto it = tri_grid_.find({cx, cy});
-            if (it == tri_grid_.end()) continue;
-            for (const TriangleKey r : it->second) {
-                const TriBin& rb = tri_bins_.at(r);
-                if (rb.min_x > box.max_x || rb.max_x < box.min_x ||
-                    rb.min_y > box.max_y || rb.max_y < box.min_y) {
-                    continue;
-                }
-                if (!fn(r)) return false;
-            }
-        }
-    }
-    return true;
-}
-
-bool DynamicSpanner::survives_alg3(TriangleKey t) const {
-    return for_each_box_partner(tri_bins_.at(t), [&](TriangleKey r) {
-        return r == t || !proximity::alg3_removed_by(backbone_.icds, t, r);
-    });
-}
 
 void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     // Local triangle lists to recompute: local_triangles_at(icds, v)
@@ -964,235 +971,205 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     const auto body = [&](std::size_t i) {
         fresh[i] = proximity::local_triangles_at(backbone_.icds, dirty[i]);
     };
-    if (dirty.size() >= kParallelThreshold) {
-        engine_->pool().parallel_for(0, dirty.size(), body);
-    } else {
-        for (std::size_t i = 0; i < dirty.size(); ++i) body(i);
-    }
+    for_items(engine_->pool(), dirty.size(), body);
 
     // Candidate triangles: anything in an old or new local list of a
     // dirty node. A triangle none of whose corners is dirty has all
-    // three membership votes unchanged.
+    // three membership votes unchanged. The old votes are read before
+    // the fresh lists replace them.
     std::vector<TriangleKey> candidates;
     for (std::size_t i = 0; i < dirty.size(); ++i) {
         candidates.insert(candidates.end(), local_tris_[dirty[i]].begin(),
                           local_tris_[dirty[i]].end());
         candidates.insert(candidates.end(), fresh[i].begin(), fresh[i].end());
-        local_tris_[dirty[i]] = std::move(fresh[i]);
     }
     sort_unique(candidates);
+    std::vector<char> was(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        was[i] = proximity::ldel1_member(local_tris_, candidates[i]) ? 1 : 0;
+    }
+    for (std::size_t i = 0; i < dirty.size(); ++i) local_tris_[dirty[i]] = std::move(fresh[i]);
 
-    // Membership delta + bbox re-binning. `touched_boxes` collects the
-    // old and new extents of every added/removed/moved triangle; any
-    // retained triangle whose box meets one of them must re-run its
-    // survival test.
-    std::vector<TriBin> touched_boxes;
-    for (const TriangleKey t : candidates) {
+    // Membership delta. `touched` collects the box of every triangle
+    // that left LDel¹ where it was (batch-start positions), of every one
+    // that entered where it is, and both boxes of a retained triangle
+    // with a moved corner; any LDel¹ triangle whose box meets one of
+    // them must re-run its survival test. A departed triangle is never
+    // boxed at its new positions: a corner that moved far would make
+    // that box span the deployment.
+    const auto& kept = backbone_.ldel_triangles;
+    const auto is_kept = [&](TriangleKey t) {
+        return std::binary_search(kept.begin(), kept.end(), t);
+    };
+    const auto old_point = [&](NodeId v) {
+        const auto it = ctx.moved_from.find(v);
+        return it == ctx.moved_from.end() ? points_[v] : it->second;
+    };
+    const auto old_box = [&](TriangleKey t) {
+        return box_of(old_point(t.a), old_point(t.b), old_point(t.c));
+    };
+    const auto new_box = [&](TriangleKey t) {
+        return box_of(points_[t.a], points_[t.b], points_[t.c]);
+    };
+    std::vector<Box> touched;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const TriangleKey t = candidates[i];
         const bool now = proximity::ldel1_member(local_tris_, t);
-        const bool was = ldel1_.contains(t);
-        if (now && !was) {
-            ldel1_.insert(t);
-            tri_insert(t);
-            touched_boxes.push_back(tri_bins_.at(t));
-        } else if (!now && was) {
-            ldel1_.erase(t);
-            touched_boxes.push_back(tri_bins_.at(t));
-            tri_remove(t);
-            if (kept_.erase(t) > 0) {
-                ctx.kept_removed.push_back(t);
-                ldel_edge_dec(norm(t.a, t.b));
-                ldel_edge_dec(norm(t.b, t.c));
-                ldel_edge_dec(norm(t.a, t.c));
-            }
-        } else if (now && was && (ctx.moved_flag[t.a] != 0 || ctx.moved_flag[t.b] != 0 ||
-                                  ctx.moved_flag[t.c] != 0)) {
-            touched_boxes.push_back(tri_bins_.at(t));  // old geometry
-            tri_remove(t);
-            tri_insert(t);
-            touched_boxes.push_back(tri_bins_.at(t));  // new geometry
+        if (was[i] != 0 && !now) {
+            touched.push_back(old_box(t));
+            if (is_kept(t)) ctx.kept_removed.push_back(t);
+        } else if (now && was[i] == 0) {
+            touched.push_back(new_box(t));
+        } else if (now && (ctx.moved_flag[t.a] != 0 || ctx.moved_flag[t.b] != 0 ||
+                           ctx.moved_flag[t.c] != 0)) {
+            touched.push_back(old_box(t));
+            touched.push_back(new_box(t));
         }
     }
 
     // Survival recompute set: a retained triangle's verdict can only
     // change when its partner set or a partner's geometry did, and
-    // partner coupling requires bbox intersection — so only residents
-    // whose box meets a touched box (old or new geometry of an
-    // added/removed/moved triangle) re-run the test. Candidate cells:
-    // everything a touched box can reach (partners' min corners lie
-    // within one cell below the box).
+    // partner coupling requires box intersection — so only LDel¹
+    // triangles whose box meets a touched box re-run the test.
     std::vector<TriangleKey> retest;
-    for (const TriBin& box : touched_boxes) {
-        for_each_box_partner(box, [&](TriangleKey r) {
-            retest.push_back(r);
-            return true;
-        });
-    }
-    sort_unique(retest);
+    for_each_ldel1_meeting(grid_, points_, backbone_.in_backbone, local_tris_, touched,
+                           [&](TriangleKey r) { retest.push_back(r); });
+    std::sort(retest.begin(), retest.end());
     stats.triangles_retested += retest.size();
 
+    // Each retest's partners are the LDel¹ triangles its box meets.
     std::vector<char> survives(retest.size(), 0);
-    const auto survive_body = [&](std::size_t i) {
-        survives[i] = survives_alg3(retest[i]) ? 1 : 0;
-    };
-    if (retest.size() >= kParallelThreshold) {
-        engine_->pool().parallel_for(0, retest.size(), survive_body);
-    } else {
-        for (std::size_t i = 0; i < retest.size(); ++i) survive_body(i);
-    }
-    for (std::size_t i = 0; i < retest.size(); ++i) {
+    for_items(engine_->pool(), retest.size(), [&](std::size_t i) {
         const TriangleKey t = retest[i];
+        const Box box = new_box(t);
+        bool removed = false;
+        const auto test = [&](TriangleKey r) {
+            removed = removed || (r != t && proximity::alg3_removed_by(backbone_.icds, t, r));
+        };
+        for_each_ldel1_meeting(grid_, points_, backbone_.in_backbone, local_tris_, {&box, 1},
+                               test);
+        survives[i] = removed ? 0 : 1;
+    });
+    for (std::size_t i = 0; i < retest.size(); ++i) {
         const bool keep = survives[i] != 0;
-        const bool was = kept_.contains(t);
-        if (keep && !was) {
-            kept_.insert(t);
-            ctx.kept_added.push_back(t);
-            ldel_edge_inc(norm(t.a, t.b));
-            ldel_edge_inc(norm(t.b, t.c));
-            ldel_edge_inc(norm(t.a, t.c));
-        } else if (!keep && was) {
-            kept_.erase(t);
-            ctx.kept_removed.push_back(t);
-            ldel_edge_dec(norm(t.a, t.b));
-            ldel_edge_dec(norm(t.b, t.c));
-            ldel_edge_dec(norm(t.a, t.c));
+        if (keep != is_kept(retest[i])) {
+            (keep ? ctx.kept_added : ctx.kept_removed).push_back(retest[i]);
         }
+    }
+
+    // Merge the survivor deltas into the sorted triangle list in place.
+    // A key transitions at most once per patch. kept_removed holds two
+    // sorted runs; kept_added comes out of the sorted retest list and
+    // merges in from the back.
+    std::vector<TriangleKey>& list = backbone_.ldel_triangles;
+    std::size_t i = list.size();
+    if (!ctx.kept_removed.empty()) {
+        std::sort(ctx.kept_removed.begin(), ctx.kept_removed.end());
+        i = 0;
+        auto gone = ctx.kept_removed.begin();
+        for (const TriangleKey t : list) {
+            while (gone != ctx.kept_removed.end() && *gone < t) ++gone;
+            if (gone == ctx.kept_removed.end() || *gone != t) list[i++] = t;
+        }
+    }
+    std::size_t j = ctx.kept_added.size();
+    list.resize(i + j);
+    for (std::size_t k = list.size(); j > 0;) {
+        --k;
+        list[k] = i > 0 && ctx.kept_added[j - 1] < list[i - 1] ? list[--i] : ctx.kept_added[--j];
     }
 }
 
-// ---- Stage 4b: Gabriel(ICDS) edges -----------------------------------
+// ---- Stage 4b: LDel(ICDS) rows ---------------------------------------
 
 void DynamicSpanner::stage_gabriel(PatchContext& ctx) {
-    // An edge's Gabriel status depends on its endpoints' positions and
-    // common-ICDS-neighbor set — dirty exactly when an endpoint is in
-    // the LDel dirty set: a moved or gained/lost witness marks both
-    // endpoints (they are its current neighbors / adjacency-changed),
-    // and moved or adjacency-changed endpoints mark themselves.
-    for (const Pair& e : ctx.icds_removed) {
-        if (gabriel_.erase(e) > 0) ldel_edge_dec(e);
+    // A node's LDel(ICDS) row is its Gabriel ICDS neighbors plus the
+    // other corners of its kept triangles. An edge's Gabriel status
+    // depends on its endpoints' positions and common-ICDS-neighbor set
+    // — dirty exactly when an endpoint is in the LDel dirty set: a moved
+    // or gained/lost witness marks both endpoints (they are its current
+    // neighbors / adjacency-changed), and moved or adjacency-changed
+    // endpoints mark themselves. Kept-triangle sides change only at the
+    // corners of a survivor delta.
+    std::vector<NodeId> rows = ctx.ldel_dirty;
+    for (const auto* delta : {&ctx.kept_added, &ctx.kept_removed}) {
+        for (const TriangleKey t : *delta) rows.insert(rows.end(), {t.a, t.b, t.c});
     }
+    sort_unique(rows);
 
-    std::vector<char> in_dirty(points_.size(), 0);
-    for (const NodeId v : ctx.ldel_dirty) in_dirty[v] = 1;
-    std::vector<Pair> dirty_edges;
-    for (const NodeId u : ctx.ldel_dirty) {
-        for (const NodeId v : backbone_.icds.neighbors(u)) {
-            if (u < v || in_dirty[v] == 0) dirty_edges.push_back(norm(u, v));
-        }
-    }
-    sort_unique(dirty_edges);
-
-    std::vector<char> in_gabriel(dirty_edges.size(), 0);
+    const auto& kept = backbone_.ldel_triangles;
+    std::vector<std::vector<NodeId>> fresh(rows.size());
     const auto body = [&](std::size_t i) {
-        const auto [u, v] = dirty_edges[i];
-        in_gabriel[i] = proximity::is_gabriel_edge(backbone_.icds, u, v) ? 1 : 0;
-    };
-    if (dirty_edges.size() >= kParallelThreshold) {
-        engine_->pool().parallel_for(0, dirty_edges.size(), body);
-    } else {
-        for (std::size_t i = 0; i < dirty_edges.size(); ++i) body(i);
-    }
-
-    for (std::size_t i = 0; i < dirty_edges.size(); ++i) {
-        const Pair e = dirty_edges[i];
-        const bool now = in_gabriel[i] != 0;
-        const bool was = gabriel_.contains(e);
-        if (now && !was) {
-            gabriel_.insert(e);
-            ldel_edge_inc(e);
-        } else if (!now && was) {
-            gabriel_.erase(e);
-            ldel_edge_dec(e);
+        const NodeId v = rows[i];
+        std::vector<NodeId>& row = fresh[i];
+        for (const NodeId u : backbone_.icds.neighbors(v)) {
+            const auto [a, b] = norm(u, v);
+            if (proximity::is_gabriel_edge(backbone_.icds, a, b)) row.push_back(u);
         }
+        for (const TriangleKey t : local_tris_[v]) {
+            if (!std::binary_search(kept.begin(), kept.end(), t)) continue;
+            for (const NodeId u : {t.a, t.b, t.c}) {
+                if (u != v) row.push_back(u);
+            }
+        }
+        sort_unique(row);
+    };
+    for_items(engine_->pool(), rows.size(), body);
+
+    // The row rule is symmetric in the two endpoints, so rows diffed in
+    // any order agree on every edge they share.
+    GeometricGraph& ldel = backbone_.ldel_icds;
+    std::vector<NodeId> stale;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const NodeId v = rows[i];
+        stale.assign(ldel.neighbors(v).begin(), ldel.neighbors(v).end());
+        diff_sorted(
+            stale, fresh[i],
+            [&](NodeId u) {
+                if (ldel.remove_edge(v, u)) ctx.ldel_changed.push_back(norm(v, u));
+            },
+            [&](NodeId u) {
+                if (ldel.add_edge(v, u)) ctx.ldel_changed.push_back(norm(v, u));
+            });
     }
 }
 
-// ---- Stage 5: assembly (primed graphs, triangle list) ----------------
+// ---- Stage 5: assembly (primed graphs) -------------------------------
 
 void DynamicSpanner::stage_assemble(PatchContext& ctx) {
-    // Dominatee-link deltas feed all three primed unions. A node's link
-    // set equals its dominators_of list, so only dom_list_changed nodes
-    // (old lists captured during the cascade) contribute deltas.
+    // Each primed graph is its base graph plus the dominatee links (a
+    // dominatee's links are its dominators_of list). A pair's presence
+    // can only change where its base edge changed or it was or is a
+    // link of a dom_list_changed node (old lists captured during the
+    // cascade); each such pair is re-derived from the final state.
+    const auto& dominators = backbone_.cluster.dominators_of;
+    std::vector<Pair> links;
     for (const NodeId v : ctx.dom_list_changed) {
-        const auto& old_list = ctx.old_dominators.at(v);
-        const auto& new_list = backbone_.cluster.dominators_of[v];
-        for (const NodeId d : old_list) {
-            if (!std::binary_search(new_list.begin(), new_list.end(), d)) {
-                link_dec(norm(v, d));
+        for (const NodeId d : ctx.old_dominators.at(v)) links.push_back(norm(v, d));
+        for (const NodeId d : dominators[v]) links.push_back(norm(v, d));
+    }
+    const auto linked = [&](NodeId u, NodeId v) {
+        return std::ranges::binary_search(dominators[u], v) ||
+               std::ranges::binary_search(dominators[v], u);
+    };
+    const auto settle = [&](GeometricGraph& prime, const GeometricGraph& base,
+                            std::initializer_list<const std::vector<Pair>*> changed) {
+        std::vector<Pair> pairs = links;
+        for (const auto* delta : changed) {
+            pairs.insert(pairs.end(), delta->begin(), delta->end());
+        }
+        sort_unique(pairs);
+        for (const auto& [u, v] : pairs) {
+            if (base.has_edge(u, v) || linked(u, v)) {
+                prime.add_edge(u, v);
+            } else {
+                prime.remove_edge(u, v);
             }
         }
-        for (const NodeId d : new_list) {
-            if (!std::binary_search(old_list.begin(), old_list.end(), d)) {
-                link_inc(norm(v, d));
-            }
-        }
-    }
-    // Triangle-list merge from the survivor deltas: both delta lists
-    // come out of sorted scans, and a key can only transition once per
-    // patch, so two linear passes replace the O(|kept|) set walk.
-    if (!ctx.kept_added.empty() || !ctx.kept_removed.empty()) {
-        std::sort(ctx.kept_added.begin(), ctx.kept_added.end());
-        std::sort(ctx.kept_removed.begin(), ctx.kept_removed.end());
-        std::vector<TriangleKey> surviving;
-        surviving.reserve(backbone_.ldel_triangles.size());
-        std::set_difference(backbone_.ldel_triangles.begin(),
-                            backbone_.ldel_triangles.end(), ctx.kept_removed.begin(),
-                            ctx.kept_removed.end(), std::back_inserter(surviving));
-        std::vector<TriangleKey> merged;
-        merged.reserve(surviving.size() + ctx.kept_added.size());
-        std::merge(surviving.begin(), surviving.end(), ctx.kept_added.begin(),
-                   ctx.kept_added.end(), std::back_inserter(merged));
-        backbone_.ldel_triangles = std::move(merged);
-    }
-}
-
-// ---- Edge-union plumbing ---------------------------------------------
-
-void DynamicSpanner::cds_edge_inc(Pair e) {
-    if (cds_refs_.inc(e)) {
-        backbone_.cds.add_edge(e.first, e.second);
-        if (cds_prime_refs_.inc(e)) backbone_.cds_prime.add_edge(e.first, e.second);
-    }
-}
-
-void DynamicSpanner::cds_edge_dec(Pair e) {
-    if (cds_refs_.dec(e)) {
-        backbone_.cds.remove_edge(e.first, e.second);
-        if (cds_prime_refs_.dec(e)) backbone_.cds_prime.remove_edge(e.first, e.second);
-    }
-}
-
-void DynamicSpanner::ldel_edge_inc(Pair e) {
-    if (ldel_icds_refs_.inc(e)) {
-        backbone_.ldel_icds.add_edge(e.first, e.second);
-        if (ldel_icds_prime_refs_.inc(e)) {
-            backbone_.ldel_icds_prime.add_edge(e.first, e.second);
-        }
-    }
-}
-
-void DynamicSpanner::ldel_edge_dec(Pair e) {
-    if (ldel_icds_refs_.dec(e)) {
-        backbone_.ldel_icds.remove_edge(e.first, e.second);
-        if (ldel_icds_prime_refs_.dec(e)) {
-            backbone_.ldel_icds_prime.remove_edge(e.first, e.second);
-        }
-    }
-}
-
-void DynamicSpanner::link_inc(Pair e) {
-    if (cds_prime_refs_.inc(e)) backbone_.cds_prime.add_edge(e.first, e.second);
-    if (icds_prime_refs_.inc(e)) backbone_.icds_prime.add_edge(e.first, e.second);
-    if (ldel_icds_prime_refs_.inc(e)) {
-        backbone_.ldel_icds_prime.add_edge(e.first, e.second);
-    }
-}
-
-void DynamicSpanner::link_dec(Pair e) {
-    if (cds_prime_refs_.dec(e)) backbone_.cds_prime.remove_edge(e.first, e.second);
-    if (icds_prime_refs_.dec(e)) backbone_.icds_prime.remove_edge(e.first, e.second);
-    if (ldel_icds_prime_refs_.dec(e)) {
-        backbone_.ldel_icds_prime.remove_edge(e.first, e.second);
-    }
+    };
+    settle(backbone_.cds_prime, backbone_.cds, {&ctx.cds_changed});
+    settle(backbone_.icds_prime, backbone_.icds, {&ctx.icds_added, &ctx.icds_removed});
+    settle(backbone_.ldel_icds_prime, backbone_.ldel_icds, {&ctx.ldel_changed});
 }
 
 // ---- k-hop expansion over old ∪ new adjacency ------------------------

@@ -31,6 +31,18 @@
 // triangles couple hop-distant regions spatially, which is exactly what
 // Algorithm 3 resolves) and parallelize over items as before.
 //
+// Retained state: beside the positions, the node grid, the UDG and the
+// Backbone itself, only what a Backbone cannot answer — the connector
+// ledgers with their node and CDS-edge refcounts, and each node's local
+// triangle list over the ICDS. The rest is re-derived per patch:
+// LDel⁽¹⁾ membership from the lists' votes, the Algorithm 3 survivors
+// from Backbone::ldel_triangles, Algorithm 3 partners from the node
+// grid (LDel⁽¹⁾ sides are at most the radius, so every corner of a
+// partner lies within one radius of the triangle's box; each partner
+// is found at its least corner), LDel(ICDS) rows from Gabriel tests
+// plus kept triangles, and each primed graph from its base graph plus
+// the dominatee links.
+//
 // Fallback policy: the rebuild decision is per component. Only a batch
 // with a *single* component whose 2-hop dirty region exceeds
 // IncrementalOptions::rebuild_fraction of n (or whose union of regions
@@ -128,9 +140,9 @@ struct PatchStats {
 /// kLdel2 configurations take the full-rebuild path on every batch.
 class DynamicSpanner {
   public:
-    /// Builds the initial state. Throws std::invalid_argument when a
-    /// coordinate is not finite or is 2^62 radii or more, or `radius` is
-    /// not finite and positive.
+    /// Builds the initial state. Throws std::invalid_argument when
+    /// core::input_error rejects the points or radius, or the radius is
+    /// 0.
     DynamicSpanner(engine::SpannerEngine& engine, std::vector<geom::Point> points,
                    double radius);
 
@@ -157,24 +169,6 @@ class DynamicSpanner {
 
     struct PairHash {
         std::size_t operator()(Pair p) const noexcept;
-    };
-    struct TriHash {
-        std::size_t operator()(TriangleKey t) const noexcept;
-    };
-
-    /// Refcounted edge union driving one retained GeometricGraph: each
-    /// logical contribution (a connector pair's elected link, a Gabriel
-    /// edge, a kept triangle side, a dominatee link, a base-graph edge
-    /// of a primed variant) holds one reference; the edge exists in the
-    /// graph iff its count is positive. Contributions overlap — e.g. a
-    /// connector's elected link can coincide with its dominatee link —
-    /// so plain add/remove would corrupt the union.
-    struct EdgeRefs {
-        std::unordered_map<Pair, int, PairHash> counts;
-
-        bool inc(Pair e);  ///< true on the 0 → 1 transition
-        bool dec(Pair e);  ///< true on the 1 → 0 transition
-        void clear() { counts.clear(); }
     };
 
     /// Per-pair connector election outcome retained in the ledger:
@@ -204,6 +198,9 @@ class DynamicSpanner {
     struct PatchContext {
         std::vector<NodeId> moved;        ///< sorted; nodes whose position changed
         std::vector<char> moved_flag;     ///< n-sized
+        /// Batch-start positions of the moved nodes: the boxes of the
+        /// LDel⁽¹⁾ triangles they held are built where those stood.
+        std::unordered_map<NodeId, geom::Point> moved_from;
         std::vector<NodeId> joined;       ///< sorted new ids
         std::vector<NodeId> adj_changed;  ///< sorted; endpoints of UDG edge deltas
         std::vector<Pair> udg_added;
@@ -219,7 +216,11 @@ class DynamicSpanner {
         std::unordered_map<NodeId, std::vector<NodeId>> old_dominators;
         std::vector<NodeId> two_hop_changed;
 
+        /// Nodes whose election refcount hit or left zero, for the
+        /// connector-flag settle pass.
+        std::vector<NodeId> conn_touched;
         std::vector<NodeId> connector_changed;  ///< is_connector flips
+        std::vector<Pair> cds_changed;  ///< CDS edges added or removed
         std::size_t pairs_deleted = 0;
         std::size_t pairs_reelected = 0;
         [[nodiscard]] std::size_t pairs_recomputed() const {
@@ -232,10 +233,11 @@ class DynamicSpanner {
         std::vector<NodeId> icds_adj_changed;  ///< sorted after the stage
 
         std::vector<NodeId> ldel_dirty;  ///< sorted; local triangle lists recomputed
-        /// Alg3-survivor deltas, for the assembly stage's triangle-list
-        /// merge (avoids walking the whole kept set every patch).
+        /// Alg3-survivor deltas: merged into ldel_triangles, and their
+        /// corners' LDel(ICDS) rows recomputed.
         std::vector<TriangleKey> kept_added;
         std::vector<TriangleKey> kept_removed;
+        std::vector<Pair> ldel_changed;  ///< LDel(ICDS) edges added or removed
         std::vector<char> dirty_union;  ///< union of all per-stage dirty nodes
         std::size_t dirty_count = 0;
 
@@ -279,9 +281,10 @@ class DynamicSpanner {
     // the same functions the engine calls: protocol::cluster_key and
     // derive_(two_hop_)dominators for the cascade, the protocol election
     // kernel (collect_candidates, elect_two_hop, elect_three_hop) for
-    // connector planning, proximity::alg3_removed_by for Algorithm 3,
-    // and proximity::is_gabriel_edge for the Gabriel patch. What stays
-    // here is the dirty-set bookkeeping and the ledgers.
+    // connector planning, proximity::ldel1_member and alg3_removed_by
+    // for LDel⁽¹⁾ and Algorithm 3, and proximity::is_gabriel_edge for the
+    // Gabriel patch. What stays here is the dirty-set bookkeeping and
+    // the ledgers.
     void stage_udg(const UpdateBatch& batch, PatchContext& ctx);
     /// Role cascade + derived-list recompute; false → more than `cap`
     /// roles flipped, caller falls back to a full rebuild.
@@ -305,10 +308,9 @@ class DynamicSpanner {
     void plan_connectors(const PatchContext& ctx, const std::vector<NodeId>& c2,
                          ConnectorPlan& plan) const;
     /// Applies one plan's deletions and commits (serial, deterministic).
-    void commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx,
-                               std::vector<NodeId>& conn_touched);
+    void commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx);
     /// Settles is_connector flags from the final refcounts.
-    void settle_connector_flags(std::vector<NodeId>& conn_touched, PatchContext& ctx);
+    void settle_connector_flags(PatchContext& ctx);
     /// Plans all components concurrently on the engine pool, then
     /// commits them serially in component order.
     void stage_connectors_componentwise(PatchContext& ctx,
@@ -327,41 +329,16 @@ class DynamicSpanner {
     void rebuild_from_scratch(PatchStats& stats);
     void apply_positions_only(const UpdateBatch& batch);
 
-    // Connector-election helpers. `conn_touched` accumulates nodes whose
-    // election refcount hit or left zero, for the flag settle pass.
-    /// False when the key was already gone (idempotent).
-    bool delete_pair(PairLedger& ledger, Pair key, std::vector<NodeId>& conn_touched);
-    void commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome,
-                     std::vector<NodeId>& conn_touched);
-
-    // Triangle bookkeeping.
-    struct TriBin {
-        double min_x, max_x, min_y, max_y;
-        proximity::CellCoord cell;
-    };
-    [[nodiscard]] TriBin bin_of(TriangleKey t) const;
-    void tri_insert(TriangleKey t);
-    void tri_remove(TriangleKey t);
-    /// Calls fn(r) for every indexed triangle r whose box meets `box`
-    /// (a triangle meets its own box) until fn returns false; returns
-    /// false iff it stopped early.
-    template <typename Fn>
-    bool for_each_box_partner(const TriBin& box, Fn&& fn) const;
-    [[nodiscard]] bool survives_alg3(TriangleKey t) const;
+    // Connector-election helpers: a ledger entry plus the refcounts and
+    // CDS edges it holds. delete_pair returns false when the key was
+    // already gone (idempotent).
+    bool delete_pair(PairLedger& ledger, Pair key, PatchContext& ctx);
+    void commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome, PatchContext& ctx);
 
     [[nodiscard]] std::vector<NodeId> expand_hops(
         const graph::GeometricGraph& g,
         const std::unordered_map<NodeId, std::vector<NodeId>>& removed_adj,
         const std::vector<NodeId>& seeds, int hops) const;
-
-    void cds_edge_inc(Pair e);
-    void cds_edge_dec(Pair e);
-    void ldel_edge_inc(Pair e);
-    void ldel_edge_dec(Pair e);
-    void link_inc(Pair e);  ///< dominatee link into all three primed unions
-    void link_dec(Pair e);
-    void icds_edge_added(NodeId u, NodeId v, PatchContext& ctx);
-    void icds_edge_removed(NodeId u, NodeId v, PatchContext& ctx);
 
     engine::SpannerEngine* engine_;
     double radius_ = 1.0;
@@ -370,29 +347,18 @@ class DynamicSpanner {
     graph::GeometricGraph udg_;
     core::Backbone backbone_;
 
-    // Connector state: per-pair outcomes + aggregate refcounts.
+    // What the Backbone cannot answer. Connector state: per-pair
+    // outcomes plus the refcounts of the elected nodes and CDS edges
+    // (elected links overlap across pairs).
     /// [0]: two-hop elections, unordered (min, max) dominator pairs;
     /// [1]: three-hop elections, ordered (u, v) dominator pairs.
     std::array<PairLedger, 2> ledgers_;
     std::vector<int> connector_refs_;  ///< pairs electing each node
-    EdgeRefs cds_refs_;
-
-    // LDel state: per-node local triangle lists, the LDel¹ set, its
-    // bbox-bucket index (cell side = radius), and the Alg3 survivors.
+    std::unordered_map<Pair, int, PairHash> cds_refs_;  ///< pairs electing each edge
+    /// Per-node local_triangles_at lists over the ICDS: their votes
+    /// define LDel⁽¹⁾ (ldel1_member), and a triangle is found in the
+    /// list of its least corner.
     std::vector<std::vector<TriangleKey>> local_tris_;
-    std::set<TriangleKey> ldel1_;
-    std::set<TriangleKey> kept_;
-    std::unordered_map<TriangleKey, TriBin, TriHash> tri_bins_;
-    std::unordered_map<proximity::CellCoord, std::vector<TriangleKey>,
-                       proximity::CellHash>
-        tri_grid_;
-
-    // Gabriel(ICDS) edges + the union refcounts of the assembled graphs.
-    std::set<Pair> gabriel_;
-    EdgeRefs ldel_icds_refs_;   ///< gabriel + kept-triangle sides
-    EdgeRefs cds_prime_refs_;   ///< cds edges + dominatee links
-    EdgeRefs icds_prime_refs_;  ///< icds edges + dominatee links
-    EdgeRefs ldel_icds_prime_refs_;  ///< ldel_icds edges + dominatee links
 };
 
 }  // namespace geospanner::dynamic

@@ -325,6 +325,7 @@ core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg
                                      const EngineOptions& options,
                                      core::PipelineStats* stats,
                                      verify::AuditTrail* trail) {
+    core::validate_input(udg.points(), 0.0);
     const auto start = Clock::now();
     protocol::ClusterState cluster = cluster_staged(pool, udg, options.cluster_policy);
     push_stage(stats, "clustering", start, udg.node_count(), stage_threads(pool));

@@ -105,7 +105,9 @@ struct BuildResult {
 /// Engine::kCentralized (message stats stay empty, as there). Appends
 /// one StageStats entry per stage to `stats` when given. When
 /// `options.audit` and `trail` are both set, runs the post-stage
-/// verify:: audits and appends their StageAudits to `trail`.
+/// verify:: audits and appends their StageAudits to `trail`. Throws
+/// std::invalid_argument before any work when core::input_error rejects
+/// the UDG's points.
 [[nodiscard]] core::Backbone build_backbone_staged(ThreadPool& pool,
                                                    const graph::GeometricGraph& udg,
                                                    const EngineOptions& options,
@@ -138,14 +140,14 @@ class SpannerEngine {
     [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
 
     /// Full pipeline from raw node positions. Throws
-    /// std::invalid_argument (core::validate_input) before any work when
-    /// a coordinate or the radius is not finite, the radius is negative,
-    /// or a coordinate is 2^62 radii or more.
+    /// std::invalid_argument before any work when core::input_error
+    /// rejects the points or radius.
     [[nodiscard]] BuildResult build(std::vector<geom::Point> points, double radius);
 
     /// Staged pipeline over an existing UDG (no UDG stage). `trail`
     /// receives the post-stage audit certificates when the engine was
-    /// configured with EngineOptions::audit.
+    /// configured with EngineOptions::audit. Throws
+    /// std::invalid_argument, as build_backbone_staged does.
     [[nodiscard]] core::Backbone build_backbone(const graph::GeometricGraph& udg,
                                                 core::PipelineStats* stats = nullptr,
                                                 verify::AuditTrail* trail = nullptr);

@@ -100,9 +100,8 @@ class TileShardedEngine {
     /// Full sharded pipeline from raw node positions. Degenerate inputs
     /// (no points, radius 0) take the monolithic path — there is
     /// nothing to shard and the stage names reflect that. Throws
-    /// std::invalid_argument (core::validate_input) before any work on
-    /// a non-finite coordinate, a non-finite or negative radius, or a
-    /// coordinate of 2^62 radii or more.
+    /// std::invalid_argument before any work when core::input_error
+    /// rejects the points or radius.
     [[nodiscard]] ShardBuildResult build(std::vector<geom::Point> points, double radius);
 
   private:

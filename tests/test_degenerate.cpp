@@ -137,6 +137,16 @@ TEST(Degenerate, EngineMatchesCentralizedOnDegenerateInput) {
     }
 }
 
+/// The 4x4 lattice (0.9i + 0.01j, 0.9j) scaled by s: at radius s its
+/// UDG has 24 edges.
+std::vector<geom::Point> scaled_lattice(double s) {
+    std::vector<geom::Point> points;
+    for (int i = 0; i < 4; ++i) {
+        for (int j = 0; j < 4; ++j) points.push_back({(0.9 * i + 0.01 * j) * s, 0.9 * j * s});
+    }
+    return points;
+}
+
 TEST(Degenerate, EveryBuildEntryPointRejectsNonFiniteInput) {
     // NaN or inf must never reach the cell-grid index conversion: each
     // public entry point taking raw positions throws before any work.
@@ -149,13 +159,18 @@ TEST(Degenerate, EveryBuildEntryPointRejectsNonFiniteInput) {
         double radius;
     };
     // A finite coordinate 2^62 radii or more from the origin would
-    // overflow the grid's 64-bit cell index, so it is rejected too.
+    // overflow the grid's 64-bit cell index, so it is rejected too. So
+    // are magnitudes past 2^±200, where squared distances overflow or
+    // underflow: the scaled lattices would get 64 UDG edges, not 24.
+    ASSERT_EQ(engine::SpannerEngine().build(scaled_lattice(1.0), 1.0).udg.edge_count(), 24u);
     const std::vector<Case> cases{{"nan point", {{0.0, 0.0}, {nan, 0.5}}, 1.5},
                                   {"inf point", {{0.0, 0.0}, {1.0, -inf}}, 1.5},
                                   {"nan radius", good, nan},
                                   {"negative radius", good, -1.0},
                                   {"huge point", {{0.0, 0.0}, {1e300, 0.5}}, 1.5},
-                                  {"tiny radius", good, 1e-300}};
+                                  {"tiny radius", good, 1e-300},
+                                  {"lattice scaled by 1e160", scaled_lattice(1e160), 1e160},
+                                  {"lattice scaled by 1e-170", scaled_lattice(1e-170), 1e-170}};
     engine::EngineOptions engine_options;
     engine_options.threads = 2;
     engine::SpannerEngine engine(engine_options);
@@ -185,6 +200,27 @@ TEST(Degenerate, EveryBuildEntryPointRejectsNonFiniteInput) {
     // Radius 0 stays a valid "no edges" build for the one-shot builders.
     EXPECT_EQ(engine.build(good, 0.0).udg.edge_count(), 0u);
     EXPECT_THROW(dynamic::DynamicSpanner(engine, good, 0.0), std::invalid_argument);
+}
+
+TEST(Degenerate, GraphEntryPointsRejectHugeCoordinates) {
+    // A graph whose point moved to 1e300 after its edges were built: the
+    // backbone builders over a given graph validate its points too,
+    // instead of overflowing inside the local Delaunay triangulations.
+    graph::GeometricGraph udg = proximity::build_udg(scaled_lattice(1.0), 1.0);
+    engine::EngineOptions options;
+    options.threads = 2;
+    engine::SpannerEngine engine(options);
+    EXPECT_NO_THROW((void)engine.build_backbone(udg));
+    udg.set_point(5, {1e300, 1e300});
+    EXPECT_THROW((void)engine.build_backbone(udg), std::invalid_argument);
+    EXPECT_THROW((void)engine::build_backbone_staged(engine.pool(), udg, options),
+                 std::invalid_argument);
+    EXPECT_THROW((void)core::build_backbone(udg, {core::Engine::kCentralized}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)core::build_backbone(udg, {core::Engine::kDistributed}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)backends::make_backend("engine")->build(udg, 1.0),
+                 std::invalid_argument);
 }
 
 // ---- Float-filter boundary ------------------------------------------

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/backbone.h"
+#include "core/workload.h"
 #include "dynamic/dynamic_cell_grid.h"
 #include "dynamic_test_util.h"
 #include "proximity/udg.h"
@@ -292,6 +294,48 @@ TEST(DynamicSpanner, PatchStatsReportLocalizedWork) {
         EXPECT_FALSE(stats.pipeline.stages.empty());
     }
     EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
+}
+
+// A backbone node that jumps far outside the deployment leaves its
+// LDel¹ triangles where they were: only triangles near those old boxes
+// and near its new spot re-run Algorithm 3. Boxing a departed triangle
+// at its new positions would stretch it across the whole deployment
+// and retest a large share of the set.
+TEST(DynamicSpanner, FarMoveRetestsStayLocal) {
+    constexpr std::size_t kNodes = 5000;
+    constexpr double kRadius = 1.0;
+    const double side = std::sqrt(static_cast<double>(kNodes) * 3.14159265358979 / 12.0);
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        core::WorkloadConfig config;
+        config.node_count = kNodes;
+        config.side = side;
+        config.radius = kRadius;
+        config.seed = seed;
+        engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+        DynamicSpanner dyn(engine, core::uniform_points(config), kRadius);
+
+        // The backbone node closest to the centre, so its triangles are
+        // surrounded by others on every side.
+        NodeId mover = 0;
+        double best = std::numeric_limits<double>::infinity();
+        for (NodeId v = 0; v < dyn.node_count(); ++v) {
+            if (!dyn.backbone().in_backbone[v]) continue;
+            const double d = geom::squared_distance(dyn.positions()[v],
+                                                    {side / 2.0, side / 2.0});
+            if (d < best) {
+                best = d;
+                mover = v;
+            }
+        }
+        UpdateBatch batch;
+        batch.moves.push_back({mover, {side + 10.0 * kRadius, side + 10.0 * kRadius}});
+        const PatchStats stats = dyn.apply(batch);
+        ASSERT_FALSE(stats.fell_back) << "seed " << seed;
+        ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "seed " << seed;
+        const auto triangles = static_cast<double>(dyn.backbone().ldel_triangles.size());
+        EXPECT_LT(static_cast<double>(stats.triangles_retested), 0.03 * triangles)
+            << "seed " << seed << ": " << stats.triangles_retested << " of " << triangles;
+    }
 }
 
 // Trace-replay fuzz across the generator family: any divergence is

@@ -4,15 +4,22 @@
 // the single-node-move speedup at the largest n — the localized patch
 // touches O(dirty region) state where the rebuild touches O(n).
 //
+// A batch with a leave always takes the full-rebuild path; rebuild_ms is
+// the median apply time of a few single-leave batches per n, what a
+// fallback actually costs next to the engine build (full ms).
+//
 // With GS_BENCH_JSON set, appends one JSON line per configuration
-// (bench "dynamic_updates") carrying patch_ms, full_build_ms, speedup,
-// dirty nodes, batch- and component-level fallback accounting, and the
-// dirty-component region-size histogram. Fallback is a per-component
-// decision, so the interesting ratio is component_fallback_fraction
-// (over-cap components / decomposed components), not the batch count.
+// (bench "dynamic_updates") carrying patch_ms, full_build_ms,
+// rebuild_ms, speedup, dirty nodes, batch- and component-level fallback
+// accounting, and the dirty-component region-size histogram. Fallback
+// is a per-component decision, so the interesting ratio is
+// component_fallback_fraction (over-cap components / decomposed
+// components), not the batch count.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "bench_util.h"
 #include "dynamic/spanner.h"
@@ -41,7 +48,8 @@ int main() {
               << "random-walk moves; displacement in units/update\n\n";
 
     io::Table table({"n", "batch", "step", "patch ms", "dirty nodes", "fallbacks",
-                     "comps", "comp fb%", "updates/s", "full ms", "speedup"});
+                     "comps", "comp fb%", "updates/s", "full ms", "rebuild ms",
+                     "speedup"});
     for (const std::size_t n : {2000, 5000, 20000}) {
         // Side chosen for constant density (average UDG degree ~12).
         const double side =
@@ -53,15 +61,25 @@ int main() {
         config.seed = 9000 + n;
         const auto points = core::uniform_points(config);
 
-        engine::EngineOptions eopts;
-        const auto t0 = now_ms();
-        engine::SpannerEngine engine(eopts);
+        engine::SpannerEngine engine;
         dynamic::DynamicSpanner dyn(engine, points, radius);
-        (void)t0;
         const auto t1 = now_ms();
         auto full = engine.build(points, radius);
         const double full_ms = now_ms() - t1;
         (void)full;
+
+        rnd::Xoshiro256 leave_rng(77 + n);
+        std::vector<double> leave_ms;
+        for (int i = 0; i < 5; ++i) {
+            dynamic::UpdateBatch batch;
+            batch.leaves.push_back(
+                static_cast<graph::NodeId>(leave_rng.below(dyn.node_count())));
+            const auto start = now_ms();
+            (void)dyn.apply(batch);
+            leave_ms.push_back(now_ms() - start);
+        }
+        std::sort(leave_ms.begin(), leave_ms.end());
+        const double rebuild_ms = leave_ms[leave_ms.size() / 2];
 
         for (const std::size_t batch_size : {std::size_t{1}, std::size_t{8},
                                              std::size_t{32}}) {
@@ -121,6 +139,7 @@ int main() {
                     .cell(100.0 * comp_fb_fraction, 1)
                     .cell(updates_per_sec, 1)
                     .cell(full_ms, 1)
+                    .cell(rebuild_ms, 1)
                     .cell(speedup, 1);
                 if (sink.enabled()) {
                     auto obj = sink.row();
@@ -141,6 +160,7 @@ int main() {
                         .add("region_hist_gt1024", region_hist[4])
                         .add("updates_per_sec", updates_per_sec)
                         .add("full_build_ms", full_ms)
+                        .add("rebuild_ms", rebuild_ms)
                         .add("speedup", speedup);
                     sink.emit(obj);
                 }
@@ -153,6 +173,8 @@ int main() {
                  "faster than the from-scratch parallel rebuild. large batches\n"
                  "decompose into far-apart dirty components gated individually\n"
                  "(comp fb% = over-cap components), so batch=32 stays on the\n"
-                 "incremental path where a whole-batch gate rebuilt every time.\n";
+                 "incremental path where a whole-batch gate rebuilt every time.\n"
+                 "rebuild ms is a fallback batch: the engine build plus loading\n"
+                 "the state later patches update.\n";
     return 0;
 }

@@ -103,7 +103,6 @@ int main() {
             obj.add("mode", "single")
                 .add("n", n)
                 .add("threads", threads)
-                .add("hardware_threads", hw)
                 .add("wall_ms", ms)
                 .add("speedup_vs_1t", speedup)
                 .add("udg_edges", result.udg.edge_count())
@@ -155,7 +154,6 @@ int main() {
             .add("instances", built)
             .add("n", batch_n)
             .add("threads", threads)
-            .add("hardware_threads", hw)
             .add("wall_ms", ms)
             .add("instances_per_s", per_s);
         sink.emit(obj);
@@ -195,7 +193,6 @@ int main() {
         obj.add("mode", "audit")
             .add("n", n)
             .add("threads", std::size_t{2})
-            .add("hardware_threads", hw)
             .add("audits_off_ms", ms[0])
             .add("audits_on_ms", ms[1])
             .add("overhead", overhead);

@@ -98,7 +98,6 @@ int main() {
             obj.add("engine", "monolithic")
                 .add("n", n)
                 .add("threads", threads)
-                .add("hardware_threads", hw)
                 .add("wall_ms", ms)
                 .add("udg_edges", mono_edges)
                 .add("backbone_nodes", mono_backbone)
@@ -153,7 +152,6 @@ int main() {
                     .add("n", n)
                     .add("tiles", tiles)
                     .add("threads", threads)
-                    .add("hardware_threads", hw)
                     .add("halo_hops", options.halo_hops)
                     .add("wall_ms", ms)
                     .add("speedup_vs_mono_same_threads", same_t)

@@ -11,6 +11,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/backbone.h"
@@ -149,8 +150,31 @@ inline std::string json_output_path() {
     return env == nullptr ? std::string{} : std::string{env};
 }
 
+/// The compiler that built this binary and its version, e.g. "gcc 13.2.0".
+inline std::string compiler_stamp() {
+#if defined(__clang__)
+    return "clang " + std::to_string(__clang_major__) + '.' +
+           std::to_string(__clang_minor__) + '.' + std::to_string(__clang_patchlevel__);
+#elif defined(__GNUC__)
+    return "gcc " + std::to_string(__GNUC__) + '.' + std::to_string(__GNUC_MINOR__) +
+           '.' + std::to_string(__GNUC_PATCHLEVEL__);
+#else
+    return "unknown";
+#endif
+}
+
+/// The CMake build type this binary was compiled under, "none" when the
+/// tree was configured without one. GS_BUILD_TYPE comes from the build
+/// files (bench/ and, for the JSON test, tests/), so a reconfigure with
+/// another build type recompiles the benches with the new value.
+inline std::string build_type_stamp() {
+    const std::string type = GS_BUILD_TYPE;
+    return type.empty() ? "none" : type;
+}
+
 /// Shared JSON-lines emitter: one sink per bench binary, stamping every
-/// row with the bench name and resolving the output path once.
+/// row with the bench name and the build it came from, and resolving
+/// the output path once.
 /// GS_BENCH_JSON overrides `default_path`; a bench constructed with an
 /// empty default emits only when the env var is set (opt-in benches keep
 /// their old semantics). Replaces the per-bench copies of the
@@ -166,10 +190,17 @@ class JsonSink {
     [[nodiscard]] bool enabled() const { return !path_.empty(); }
     [[nodiscard]] const std::string& path() const { return path_; }
 
-    /// A fresh row pre-stamped with {"bench": <name>}.
+    /// A fresh row pre-stamped with the bench name, the compiler and its
+    /// version, the build type and the machine's hardware threads. The
+    /// commit is left out: a stamp fixed when the tree is configured
+    /// goes stale as soon as a later commit is built in the same tree.
     [[nodiscard]] JsonObject row() const {
         JsonObject obj;
-        obj.add("bench", bench_);
+        obj.add("bench", bench_)
+            .add("compiler", compiler_stamp())
+            .add("build_type", build_type_stamp())
+            .add("hardware_threads",
+                 static_cast<std::size_t>(std::thread::hardware_concurrency()));
         return obj;
     }
 

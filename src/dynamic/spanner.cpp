@@ -259,46 +259,51 @@ void DynamicSpanner::apply_positions_only(const UpdateBatch& batch) {
 }
 
 void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
+    // The engine's staged build, whose connector elections and local
+    // triangle lists become the retained state the patches update.
     const std::size_t n = points_.size();
     grid_ = DynamicCellGrid(points_, radius_);
     udg_ = engine::build_udg_staged(engine_->pool(), points_, radius_, &stats.pipeline);
+    engine::PatchSeed seed;
+    backbone_ = engine::build_backbone_staged(engine_->pool(), udg_, engine_->options(),
+                                              &stats.pipeline, nullptr, &seed);
 
-    backbone_ = core::Backbone{};
-    backbone_.cluster.role.assign(n, Role::kDominatee);
-    backbone_.cluster.dominators_of = graph::CowRows<NodeId>(n);
-    backbone_.cluster.two_hop_dominators_of = graph::CowRows<NodeId>(n);
-    backbone_.is_connector.assign(n, false);
-    backbone_.in_backbone.assign(n, false);
-    backbone_.cds = GeometricGraph(points_);
-    backbone_.cds_prime = GeometricGraph(points_);
-    backbone_.icds = GeometricGraph(points_);
-    backbone_.icds_prime = GeometricGraph(points_);
-    backbone_.ldel_icds = GeometricGraph(points_);
-    backbone_.ldel_icds_prime = GeometricGraph(points_);
-
+    // Elections arrive in ascending pair order per ledger, so every
+    // insert lands at the end of its map or set.
     for (PairLedger& ledger : ledgers_) ledger.clear();
     connector_refs_.assign(n, 0);
     cds_refs_.clear();
-    local_tris_.assign(n, {});
-
-    // Everything dirty: the patch kernels then perform the full build,
-    // so the from-scratch and incremental paths share one code path.
-    PatchContext ctx(n);
-    ctx.moved.reserve(n);
-    ctx.adj_changed.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
-        ctx.moved.push_back(v);
-        ctx.moved_flag[v] = 1;
-        ctx.adj_changed.push_back(v);
-        ctx.touch(v);
+    cds_refs_.reserve(seed.edges.size());
+    const auto at = [](std::size_t offset) { return static_cast<std::ptrdiff_t>(offset); };
+    for (std::size_t e = 0; e < seed.pairs.size(); ++e) {
+        PairLedger& ledger = ledgers_[e < seed.two_hop_count ? 0 : 1];
+        const Pair key = seed.pairs[e];
+        PairOutcome outcome;
+        outcome.connectors.assign(seed.connectors.begin() + at(seed.connector_offsets[e]),
+                                  seed.connectors.begin() + at(seed.connector_offsets[e + 1]));
+        outcome.edges.assign(seed.edges.begin() + at(seed.edge_offsets[e]),
+                             seed.edges.begin() + at(seed.edge_offsets[e + 1]));
+        for (const NodeId c : outcome.connectors) ++connector_refs_[c];
+        for (const Pair& edge : outcome.edges) ++cds_refs_[edge];
+        for (const NodeId end : {key.first, key.second}) {
+            std::set<Pair>& keys = ledger.by_node[end];
+            keys.emplace_hint(keys.end(), key);
+        }
+        ledger.entries.emplace_hint(ledger.entries.end(), key, std::move(outcome));
     }
+    // kLdel2 builds hand over no lists; they never take the patch path.
+    local_tris_ = std::move(seed.local);
+    local_tris_.resize(n);
 
-    {
-        StageTimer t(stats.pipeline, "cluster-patch");
-        (void)run_cluster_cascade(ctx, /*cap=*/static_cast<std::size_t>(-1));
-        t.finish(n);
+    // A rebuild counts as a patch with everything dirty, so per-batch
+    // means stay comparable with localized batches: every node dirty,
+    // every dominator a role flip, every LDel⁽¹⁾ triangle retested.
+    stats.dirty_nodes = n;
+    stats.roles_changed = static_cast<std::size_t>(
+        std::ranges::count(backbone_.cluster.role, Role::kDominator));
+    for (const core::StageStats& stage : stats.pipeline.stages) {
+        if (stage.name == "planarize") stats.triangles_retested = stage.items;
     }
-    run_stages_from_connectors(ctx, {DirtyComponent{build_c2(ctx), {}, false}}, stats);
 }
 
 // ---- apply -----------------------------------------------------------
@@ -400,14 +405,6 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
         stats.fell_back = true;
         return stats;
     }
-    run_stages_from_connectors(ctx, comps, stats);
-    stats.pairs_recomputed = ctx.pairs_recomputed();
-    return stats;
-}
-
-void DynamicSpanner::run_stages_from_connectors(PatchContext& ctx,
-                                                const std::vector<DirtyComponent>& comps,
-                                                PatchStats& stats) {
     {
         StageTimer t(stats.pipeline, "connectors-patch");
         stage_connectors_componentwise(ctx, comps);
@@ -436,6 +433,8 @@ void DynamicSpanner::run_stages_from_connectors(PatchContext& ctx,
     }
     stats.dirty_nodes = ctx.dirty_count;
     stats.roles_changed = ctx.roles_changed.size();
+    stats.pairs_recomputed = ctx.pairs_recomputed();
+    return stats;
 }
 
 // ---- Stage U: positions, grid, UDG edge deltas -----------------------
@@ -864,8 +863,8 @@ void DynamicSpanner::stage_connectors_componentwise(
     // mutate the shared ledgers/refcounts/graphs and run serially in
     // deterministic component order. Disjointness makes the serial
     // commit order immaterial to the result — the output is
-    // edge-identical to planning all seeds as one component (what
-    // rebuild_from_scratch does) at any thread count.
+    // edge-identical to planning all seeds as one component at any
+    // thread count.
     std::vector<ConnectorPlan> plans(comps.size());
     const auto body = [&](std::size_t i) {
         plan_connectors(ctx, comps[i].seeds, plans[i]);

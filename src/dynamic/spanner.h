@@ -50,9 +50,10 @@
 // swap-remove id compaction perturbs the id-keyed elections globally)
 // falls back to a full rebuild from the current positions. Many small
 // far-apart updates therefore stay on the localized path even when
-// their merged dirty set spans the graph. The full rebuild runs the
-// same stage kernels with everything dirty, so both paths share one
-// code path and one correctness argument.
+// their merged dirty set spans the graph. The full rebuild is the
+// engine's staged build (the reference the patch path is held to), and
+// its connector elections and local triangle lists become the retained
+// state that later patches update.
 #pragma once
 
 #include <array>
@@ -137,7 +138,8 @@ struct PatchStats {
 /// reference supplies the ThreadPool for the bulk kernels and the
 /// options (cluster policy, rebuild gates, merge margin).
 /// Incremental patching supports the paper's default kLdel1 planarizer;
-/// kLdel2 configurations take the full-rebuild path on every batch.
+/// kLdel2 configurations take the full-rebuild path on every batch,
+/// which builds LDel⁽²⁾ as the engine does.
 class DynamicSpanner {
   public:
     /// Builds the initial state. Throws std::invalid_argument when
@@ -192,9 +194,7 @@ class DynamicSpanner {
         }
     };
 
-    /// Scratch + dirty sets of one apply() — rebuilt per batch, with
-    /// "everything dirty" on the full-rebuild path so both paths run
-    /// the same stage kernels.
+    /// Scratch + dirty sets of one localized apply(), rebuilt per batch.
     struct PatchContext {
         std::vector<NodeId> moved;        ///< sorted; nodes whose position changed
         std::vector<char> moved_flag;     ///< n-sized
@@ -276,15 +276,13 @@ class DynamicSpanner {
 
     // Stage kernels. Each reads the dirty inputs from `ctx`, patches the
     // retained state, and records what it invalidated for the next
-    // stage. rebuild_from_scratch() runs them with everything dirty (the
-    // connector stage as one component). The paper's rules come from
-    // the same functions the engine calls: protocol::cluster_key and
-    // derive_(two_hop_)dominators for the cascade, the protocol election
-    // kernel (collect_candidates, elect_two_hop, elect_three_hop) for
-    // connector planning, proximity::ldel1_member and alg3_removed_by
-    // for LDel⁽¹⁾ and Algorithm 3, and proximity::is_gabriel_edge for the
-    // Gabriel patch. What stays here is the dirty-set bookkeeping and
-    // the ledgers.
+    // stage. The paper's rules come from the same functions the engine
+    // calls: protocol::cluster_key and derive_(two_hop_)dominators for
+    // the cascade, the protocol election kernel (collect_candidates,
+    // elect_two_hop, elect_three_hop) for connector planning,
+    // proximity::ldel1_member and alg3_removed_by for LDel⁽¹⁾ and
+    // Algorithm 3, and proximity::is_gabriel_edge for the Gabriel patch.
+    // What stays here is the dirty-set bookkeeping and the ledgers.
     void stage_udg(const UpdateBatch& batch, PatchContext& ctx);
     /// Role cascade + derived-list recompute; false → more than `cap`
     /// roles flipped, caller falls back to a full rebuild.
@@ -315,17 +313,16 @@ class DynamicSpanner {
     /// commits them serially in component order.
     void stage_connectors_componentwise(PatchContext& ctx,
                                         const std::vector<DirtyComponent>& comps);
-    /// Connectors through assembly — the tail both apply() and
-    /// rebuild_from_scratch() run — then the dirty/role totals.
-    void run_stages_from_connectors(PatchContext& ctx,
-                                    const std::vector<DirtyComponent>& comps,
-                                    PatchStats& stats);
     void stage_icds(PatchContext& ctx);
     void stage_ldel(PatchContext& ctx, PatchStats& stats);
     void stage_gabriel(PatchContext& ctx);
     void stage_assemble(PatchContext& ctx);
 
     void append_node(geom::Point p);
+    /// The engine's staged build from the current positions; its
+    /// elections and local triangle lists are loaded as the retained
+    /// state. `stats` gets the engine's stages and the totals an
+    /// everything-dirty patch would report.
     void rebuild_from_scratch(PatchStats& stats);
     void apply_positions_only(const UpdateBatch& batch);
 

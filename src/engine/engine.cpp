@@ -109,11 +109,12 @@ GeometricGraph graph_from_rows(std::vector<geom::Point> points, const Rows& abov
 // then the per-pair elections in parallel over fixed-size blocks of
 // pair groups. Each block owns its outcome buffer and one reused
 // PairElection; blocks merge in pair order and the CDS edges are sorted
-// and deduplicated once.
+// and deduplicated once. With a PatchSeed, each block also records which
+// pair elected which slice of its buffers.
 
 protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGraph& udg,
                                              const protocol::ClusterState& cluster,
-                                             std::size_t* items) {
+                                             std::size_t* items, PatchSeed* seed) {
     const auto n = static_cast<NodeId>(udg.node_count());
     std::vector<NodeId> all(n);
     std::iota(all.begin(), all.end(), NodeId{0});
@@ -124,6 +125,12 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
         std::vector<NodeId> connectors;
         std::vector<protocol::DominatorPair> edges;
         std::size_t second_leg_candidates = 0;
+        // Seed only: the electing pairs, where each one's slices end,
+        // and how many of them are two-hop.
+        std::vector<protocol::DominatorPair> pairs;
+        std::vector<std::size_t> connector_ends;
+        std::vector<std::size_t> edge_ends;
+        std::size_t two_hop_pairs = 0;
     };
     constexpr std::size_t kBlock = 256;
     const std::size_t two = cands.two_hop.size();
@@ -145,6 +152,14 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
             out.edges.insert(out.edges.end(), election.edges.begin(),
                              election.edges.end());
             out.second_leg_candidates += election.second_leg_candidates;
+            if (seed != nullptr &&
+                !(election.connectors.empty() && election.edges.empty())) {
+                out.pairs.push_back(g < two ? cands.two_hop.pairs[g]
+                                            : cands.three_hop.pairs[g - two]);
+                out.connector_ends.push_back(out.connectors.size());
+                out.edge_ends.push_back(out.edges.size());
+                if (g < two) ++out.two_hop_pairs;
+            }
         }
     });
 
@@ -156,6 +171,20 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
         state.cds_edges.insert(state.cds_edges.end(), block.edges.begin(),
                                block.edges.end());
         *items += block.second_leg_candidates;
+        if (seed == nullptr) continue;
+        const std::size_t connector_base = seed->connectors.size();
+        const std::size_t edge_base = seed->edges.size();
+        seed->two_hop_count += block.two_hop_pairs;
+        seed->pairs.insert(seed->pairs.end(), block.pairs.begin(), block.pairs.end());
+        for (const std::size_t end : block.connector_ends) {
+            seed->connector_offsets.push_back(connector_base + end);
+        }
+        for (const std::size_t end : block.edge_ends) {
+            seed->edge_offsets.push_back(edge_base + end);
+        }
+        seed->connectors.insert(seed->connectors.end(), block.connectors.begin(),
+                                block.connectors.end());
+        seed->edges.insert(seed->edges.end(), block.edges.begin(), block.edges.end());
     }
     std::sort(state.cds_edges.begin(), state.cds_edges.end());
     state.cds_edges.erase(std::unique(state.cds_edges.begin(), state.cds_edges.end()),
@@ -185,8 +214,10 @@ GeometricGraph parallel_induce(ThreadPool& pool, std::size_t lanes,
 /// LDel⁽¹⁾ triangles via the per-node kernel, node loops in parallel.
 /// Same filter as proximity::ldel1_triangles: a triangle survives iff it
 /// appears in the local Delaunay triangulation of all three vertices.
-std::vector<TriangleKey> parallel_ldel1_triangles(ThreadPool& pool,
-                                                  const GeometricGraph& icds) {
+/// The per-node lists move into `keep` when it is set.
+std::vector<TriangleKey> parallel_ldel1_triangles(
+    ThreadPool& pool, const GeometricGraph& icds,
+    std::vector<std::vector<TriangleKey>>* keep) {
     const auto n = static_cast<NodeId>(icds.node_count());
     std::vector<std::vector<TriangleKey>> local(n);
     pool.parallel_for(0, n, [&](std::size_t u) {
@@ -211,6 +242,7 @@ std::vector<TriangleKey> parallel_ldel1_triangles(ThreadPool& pool,
     for (NodeId u = 0; u < n; ++u) {
         result.insert(result.end(), mine[u].begin(), mine[u].end());
     }
+    if (keep != nullptr) *keep = std::move(local);
     return result;
 }
 
@@ -324,7 +356,7 @@ GeometricGraph build_udg_staged(ThreadPool& pool, std::vector<geom::Point> point
 core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg,
                                      const EngineOptions& options,
                                      core::PipelineStats* stats,
-                                     verify::AuditTrail* trail) {
+                                     verify::AuditTrail* trail, PatchSeed* seed) {
     core::validate_input(udg.points(), 0.0);
     const auto start = Clock::now();
     protocol::ClusterState cluster = cluster_staged(pool, udg, options.cluster_policy);
@@ -334,14 +366,14 @@ core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg
             verify::audit_clustering(udg, cluster, options.audit_options));
     }
     return build_backbone_from_cluster(pool, udg, std::move(cluster), options, stats,
-                                       trail);
+                                       trail, seed);
 }
 
 core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGraph& udg,
                                            protocol::ClusterState cluster,
                                            const EngineOptions& options,
                                            core::PipelineStats* stats,
-                                           verify::AuditTrail* trail) {
+                                           verify::AuditTrail* trail, PatchSeed* seed) {
     const auto n = static_cast<NodeId>(udg.node_count());
     const std::size_t lanes = stage_threads(pool);
     const bool audit = options.audit && trail != nullptr;
@@ -351,7 +383,7 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
     auto start = Clock::now();
     std::size_t candidate_items = 0;
     protocol::ConnectorState connectors =
-        parallel_connectors(pool, udg, result.cluster, &candidate_items);
+        parallel_connectors(pool, udg, result.cluster, &candidate_items, seed);
     push_stage(stats, "connectors", start, candidate_items, lanes);
     if (audit) {
         trail->stages.push_back(verify::audit_connectors(
@@ -373,7 +405,8 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
 
     if (options.planarizer == core::Planarizer::kLdel1) {
         start = Clock::now();
-        std::vector<TriangleKey> triangles = parallel_ldel1_triangles(pool, result.icds);
+        std::vector<TriangleKey> triangles = parallel_ldel1_triangles(
+            pool, result.icds, seed == nullptr ? nullptr : &seed->local);
         push_stage(stats, "ldel", start, result.backbone_size(), lanes);
 
         start = Clock::now();

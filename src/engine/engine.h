@@ -27,6 +27,8 @@
 #include "core/report.h"
 #include "engine/thread_pool.h"
 #include "graph/geometric_graph.h"
+#include "protocol/connectors.h"
+#include "proximity/ldel.h"
 #include "verify/audit.h"
 
 namespace geospanner::engine {
@@ -72,6 +74,30 @@ struct EngineOptions {
     IncrementalOptions incremental_options;
 };
 
+/// By-products of a full build that dynamic::DynamicSpanner retains as
+/// the state its patches update, handed over instead of recomputed.
+/// build_backbone_staged and build_backbone_from_cluster fill one when
+/// given it; without one they do no extra work.
+struct PatchSeed {
+    /// Every connector election that elected a node or an edge, in
+    /// flat columns: election e is pairs[e], electing
+    /// connectors[connector_offsets[e], connector_offsets[e + 1]) and
+    /// contributing edges[edge_offsets[e], edge_offsets[e + 1]), both
+    /// as protocol::PairElection leaves them. The first two_hop_count
+    /// elections are the two-hop ones (unordered pairs), the rest the
+    /// three-hop ones (ordered pairs); each run ascends by pair.
+    std::size_t two_hop_count = 0;
+    std::vector<protocol::DominatorPair> pairs;
+    std::vector<std::size_t> connector_offsets{0};
+    std::vector<graph::NodeId> connectors;
+    std::vector<std::size_t> edge_offsets{0};
+    std::vector<protocol::DominatorPair> edges;
+    /// Per-node proximity::local_triangles_at lists over the ICDS, the
+    /// LDel⁽¹⁾ votes. Empty under Planarizer::kLdel2, which builds no
+    /// such lists.
+    std::vector<std::vector<proximity::TriangleKey>> local;
+};
+
 /// One constructed instance: the UDG, every backbone topology, the
 /// stage timing breakdown, and (when EngineOptions::audit) the
 /// per-stage invariant certificates.
@@ -105,14 +131,17 @@ struct BuildResult {
 /// Engine::kCentralized (message stats stay empty, as there). Appends
 /// one StageStats entry per stage to `stats` when given. When
 /// `options.audit` and `trail` are both set, runs the post-stage
-/// verify:: audits and appends their StageAudits to `trail`. Throws
-/// std::invalid_argument before any work when core::input_error rejects
-/// the UDG's points.
+/// verify:: audits and appends their StageAudits to `trail`. When
+/// `seed` is set, also fills it with the connector elections' outcomes
+/// and (kLdel1) the per-node local triangle lists; the output is the
+/// same either way. Throws std::invalid_argument before any work when
+/// core::input_error rejects the UDG's points.
 [[nodiscard]] core::Backbone build_backbone_staged(ThreadPool& pool,
                                                    const graph::GeometricGraph& udg,
                                                    const EngineOptions& options,
                                                    core::PipelineStats* stats = nullptr,
-                                                   verify::AuditTrail* trail = nullptr);
+                                                   verify::AuditTrail* trail = nullptr,
+                                                   PatchSeed* seed = nullptr);
 
 /// The pipeline from the connector stage on, over an externally supplied
 /// clustering — the seam the tile-sharded builder (src/shard) plugs
@@ -122,11 +151,12 @@ struct BuildResult {
 /// and runs this per tile with the cluster state restricted to the
 /// tile's halo region. build_backbone_staged is exactly cluster_staged +
 /// this call. No clustering StageStats/StageAudit entry is appended here;
-/// the caller owns that stage.
+/// the caller owns that stage. `seed` as in build_backbone_staged.
 [[nodiscard]] core::Backbone build_backbone_from_cluster(
     ThreadPool& pool, const graph::GeometricGraph& udg,
     protocol::ClusterState cluster, const EngineOptions& options,
-    core::PipelineStats* stats = nullptr, verify::AuditTrail* trail = nullptr);
+    core::PipelineStats* stats = nullptr, verify::AuditTrail* trail = nullptr,
+    PatchSeed* seed = nullptr);
 
 /// Facade owning the pool: one engine, many builds.
 class SpannerEngine {

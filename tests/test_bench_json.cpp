@@ -1,5 +1,6 @@
 // The bench JSON-lines emitter writes strict JSON: every row it builds
-// must parse with a strict parser and decode back to what was added.
+// must parse with a strict parser and decode back to what was added,
+// and every row a sink starts carries the build stamp.
 #include "bench_util.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <thread>
 
 namespace geospanner::bench {
 namespace {
@@ -190,6 +192,22 @@ TEST(BenchJson, ParserRejectsWhatTheOldEmitterWrote) {
     EXPECT_FALSE(StrictJson("{\"k\":\"a\"b\"}").object().has_value());
     EXPECT_FALSE(StrictJson("{\"k\":\"line\nbreak\"}").object().has_value());
     EXPECT_TRUE(StrictJson("{\"k\":\"ok\",\"n\":-0.5e3}").object().has_value());
+}
+
+TEST(BenchJson, SinkRowsCarryTheBuildStamp) {
+    const JsonSink sink("stamp_test");
+    auto obj = sink.row();
+    obj.add("wall_ms", 2.0);
+    const auto parsed = StrictJson(obj.str()).object();
+    ASSERT_TRUE(parsed.has_value()) << obj.str();
+    EXPECT_EQ(parsed->at("bench"), "stamp_test");
+    EXPECT_EQ(parsed->at("compiler"), compiler_stamp());
+    EXPECT_NE(parsed->at("compiler"), "");
+    EXPECT_EQ(parsed->at("build_type"), build_type_stamp());
+    EXPECT_NE(parsed->at("build_type"), "");
+    EXPECT_EQ(parsed->at("hardware_threads"),
+              std::to_string(std::thread::hardware_concurrency()));
+    EXPECT_EQ(parsed->at("wall_ms"), "2");
 }
 
 }  // namespace

@@ -257,6 +257,80 @@ TEST(DynamicSpanner, ForcedFallbackStaysIdentical) {
     }
 }
 
+/// `n` uniform points at mean UDG degree 12 for radius 1.
+std::vector<geom::Point> degree12_points(std::size_t n, std::uint64_t seed) {
+    core::WorkloadConfig config;
+    config.node_count = n;
+    config.side = std::sqrt(static_cast<double>(n) * 3.14159265358979 / 12.0);
+    config.radius = 1.0;
+    config.seed = seed;
+    return core::uniform_points(config);
+}
+
+// Under kLdel2 every batch rebuilds, and the rebuild must build LDel⁽²⁾
+// as the engine does, not LDel⁽¹⁾ with Algorithm 3.
+TEST(DynamicSpanner, Ldel2PlanarizerMatchesEngine) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        engine::EngineOptions opts = engine_options(ClusterPolicy::kLowestId);
+        opts.planarizer = core::Planarizer::kLdel2;
+        engine::SpannerEngine engine(opts);
+        DynamicSpanner dyn(engine, degree12_points(400, seed), 1.0);
+        const auto engine_diff = [&] {
+            const engine::BuildResult want = engine.build(dyn.positions(), 1.0);
+            if (!(want.udg == dyn.udg())) return std::string("udg");
+            return test::backbone_diff(dyn.backbone(), want.backbone);
+        };
+        ASSERT_EQ(engine_diff(), "") << "seed " << seed << " construction";
+
+        rnd::Xoshiro256 rng(seed);
+        UpdateBatch moves;
+        for (int i = 0; i < 4; ++i) {
+            const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+            const geom::Point p = dyn.positions()[v];
+            moves.moves.push_back(
+                {v, {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)}});
+        }
+        EXPECT_TRUE(dyn.apply(moves).fell_back);
+        ASSERT_EQ(engine_diff(), "") << "seed " << seed << " move batch";
+
+        UpdateBatch leave;
+        leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
+        EXPECT_TRUE(dyn.apply(leave).fell_back);
+        ASSERT_EQ(engine_diff(), "") << "seed " << seed << " leave batch";
+    }
+}
+
+// A rebuild hands its connector elections and local triangle lists to
+// the patch path as retained state. Localized patches after it read and
+// update that state, so any entry, refcount or list loaded wrong shows
+// up as a divergence within a few batches.
+TEST(DynamicSpanner, PatchesAfterRebuildStayExact) {
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+        for (const ClusterPolicy policy :
+             {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
+            engine::SpannerEngine engine(test::dynamic_engine_options(policy, lanes));
+            DynamicSpanner dyn(engine, degree12_points(1600, 11), 1.0);
+            rnd::Xoshiro256 rng(97 + lanes);
+            UpdateBatch leave;
+            leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
+            ASSERT_TRUE(dyn.apply(leave).fell_back);
+            ASSERT_EQ(divergence(dyn, policy), "") << "lanes " << lanes << " leave";
+            for (int step = 0; step < 20; ++step) {
+                UpdateBatch batch;
+                for (int i = 0; i < 2; ++i) {
+                    const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+                    const geom::Point p = dyn.positions()[v];
+                    batch.moves.push_back(
+                        {v, {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)}});
+                }
+                const PatchStats stats = dyn.apply(batch);
+                ASSERT_FALSE(stats.fell_back) << "lanes " << lanes << " step " << step;
+                ASSERT_EQ(divergence(dyn, policy), "") << "lanes " << lanes << " step " << step;
+            }
+        }
+    }
+}
+
 TEST(DynamicSpanner, PatchedOutputsPassLemmaAudits) {
     const double radius = 60.0;
     const auto udg = test::connected_udg(60, 200.0, radius, 41);

@@ -1,7 +1,6 @@
 #include "dynamic/spanner.h"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <chrono>
 #include <cmath>
@@ -9,6 +8,7 @@
 #include <functional>
 #include <initializer_list>
 #include <iterator>
+#include <queue>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -42,12 +42,6 @@ void for_items(engine::ThreadPool& pool, std::size_t count,
     }
 }
 
-std::uint64_t mix64(std::uint64_t z) noexcept {
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
 template <typename T>
 void sort_unique(std::vector<T>& v) {
     std::sort(v.begin(), v.end());
@@ -58,30 +52,17 @@ std::pair<graph::NodeId, graph::NodeId> norm(graph::NodeId a, graph::NodeId b) {
     return {std::min(a, b), std::max(a, b)};
 }
 
-/// Wall-clock of one stage kernel, appended to the patch's PipelineStats.
-class StageTimer {
-  public:
-    StageTimer(core::PipelineStats& stats, std::string name)
-        : stats_(stats), name_(std::move(name)),
-          start_(std::chrono::steady_clock::now()) {}
-
-    void finish(std::size_t items, std::size_t threads = 1) {
-        const auto elapsed = std::chrono::steady_clock::now() - start_;
-        core::StageStats s;
-        s.name = name_;
-        s.wall_ms =
-            std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(elapsed)
-                .count();
-        s.items = items;
-        s.threads = threads;
-        stats_.stages.push_back(std::move(s));
-    }
-
-  private:
-    core::PipelineStats& stats_;
-    std::string name_;
-    std::chrono::steady_clock::time_point start_;
-};
+/// Runs `stage`, which returns its item count, and appends its wall
+/// time to the patch's PipelineStats.
+template <typename Stage>
+void timed(core::PipelineStats& stats, const char* name, Stage&& stage,
+           std::size_t threads = 1) {
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t items = stage();
+    const std::chrono::duration<double, std::milli> wall =
+        std::chrono::steady_clock::now() - start;
+    stats.stages.push_back({name, wall.count(), items, threads});
+}
 
 /// One merge pass over two sorted lists: removed(x) for every x only in
 /// `stale`, added(x) for every x only in `want`.
@@ -100,6 +81,41 @@ void diff_sorted(const std::vector<graph::NodeId>& stale,
             ++j;
         }
     }
+}
+
+/// The (v, ·) run of a sorted pair list: the UDG neighbors v lost.
+std::span<const std::pair<graph::NodeId, graph::NodeId>> lost_at(
+    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& removed_adj,
+    graph::NodeId v) {
+    const auto run = std::ranges::equal_range(
+        removed_adj, v, {}, &std::pair<graph::NodeId, graph::NodeId>::first);
+    return {run.begin(), run.end()};
+}
+
+/// Bounds [lo, hi) of the election (three_hop, ·, second) in its first
+/// dominator's row; lo == hi, the insertion point, when there is none.
+std::pair<std::size_t, std::size_t> run_of(std::span<const engine::ElectedItem> row,
+                                           bool three_hop, graph::NodeId second) {
+    const auto key = [](const engine::ElectedItem& item) {
+        return std::pair{item.three_hop, item.second};
+    };
+    const auto run = std::ranges::equal_range(row, std::pair{three_hop, second}, {}, key);
+    return {static_cast<std::size_t>(run.begin() - row.begin()),
+            static_cast<std::size_t>(run.end() - row.begin())};
+}
+
+/// True when row[k] opens an election's run.
+bool opens_run(std::span<const engine::ElectedItem> row, std::size_t k) {
+    return k == 0 || row[k].three_hop != row[k - 1].three_hop ||
+           row[k].second != row[k - 1].second;
+}
+
+/// Index of the first element of sorted `row` whose projection is not
+/// below `value`.
+template <typename T, typename Value, typename Proj = std::identity>
+std::size_t lower_index(std::span<const T> row, const Value& value, Proj proj = {}) {
+    return static_cast<std::size_t>(std::ranges::lower_bound(row, value, {}, proj) -
+                                    row.begin());
 }
 
 struct Box {
@@ -127,7 +143,7 @@ template <typename Fn>
 void for_each_ldel1_meeting(const DynamicCellGrid& grid,
                             const std::vector<geom::Point>& points,
                             const std::vector<bool>& in_backbone,
-                            const std::vector<std::vector<proximity::TriangleKey>>& local,
+                            const graph::CowRows<proximity::TriangleKey>& local,
                             std::span<const Box> boxes, Fn&& fn) {
     const double r = grid.cell_side();
     const double reach = r * (1.0 + std::ldexp(1.0, -40));
@@ -146,22 +162,20 @@ void for_each_ldel1_meeting(const DynamicCellGrid& grid,
     std::sort(reached.begin(), reached.end());
     for (std::size_t first = 0, last = 0; first < reached.size(); first = last) {
         while (last < reached.size() && reached[last].first == reached[first].first) ++last;
-        const auto cell = grid.cells().find(reached[first].first);
-        if (cell == grid.cells().end()) continue;
         const auto meets_one = [&](const Box& b) {
             for (std::size_t k = first; k < last; ++k) {
                 if (boxes_meet(boxes[reached[k].second], b)) return true;
             }
             return false;
         };
-        for (const graph::NodeId u : cell->second) {
+        for (const graph::NodeId u : grid.at(reached[first].first)) {
             // Nodes off the backbone (most of a dense cell) list nothing.
             if (!in_backbone[u]) continue;
             const geom::Point p = points[u];
             if (!meets_one({p.x - reach, p.x + reach, p.y - reach, p.y + reach})) continue;
             // Every key in local[u] contains u, so those with least
             // corner u are the sorted list's tail.
-            const auto& list = local[u];
+            const auto list = local[u];
             auto it = std::lower_bound(list.begin(), list.end(),
                                        proximity::TriangleKey{u, 0, 0});
             for (; it != list.end(); ++it) {
@@ -176,20 +190,6 @@ void for_each_ldel1_meeting(const DynamicCellGrid& grid,
 }
 
 }  // namespace
-
-std::size_t DynamicSpanner::PairHash::operator()(Pair p) const noexcept {
-    return static_cast<std::size_t>(
-        mix64((static_cast<std::uint64_t>(p.first) << 32) | p.second));
-}
-
-DynamicSpanner::PatchContext::PatchContext(std::size_t n)
-    : moved_flag(n, 0), dirty_union(n, 0) {}
-
-void DynamicSpanner::PatchContext::touch(NodeId v) {
-    if (dirty_union[v] != 0) return;
-    dirty_union[v] = 1;
-    ++dirty_count;
-}
 
 std::string validate_batch(const UpdateBatch& batch, std::size_t node_count,
                            double radius) {
@@ -241,8 +241,11 @@ void DynamicSpanner::append_node(geom::Point p) {
     backbone_.cluster.two_hop_dominators_of.push_back();
     backbone_.is_connector.push_back(false);
     backbone_.in_backbone.push_back(false);
-    connector_refs_.push_back(0);
-    local_tris_.emplace_back();
+    retained_.elected.push_back();
+    retained_.elected_by.push_back();
+    retained_.connector_refs.push_back(0);
+    retained_.cds_refs.push_back();
+    retained_.local.push_back();
 }
 
 void DynamicSpanner::apply_positions_only(const UpdateBatch& batch) {
@@ -259,46 +262,16 @@ void DynamicSpanner::apply_positions_only(const UpdateBatch& batch) {
 }
 
 void DynamicSpanner::rebuild_from_scratch(PatchStats& stats) {
-    // The engine's staged build, whose connector elections and local
-    // triangle lists become the retained state the patches update.
-    const std::size_t n = points_.size();
     grid_ = DynamicCellGrid(points_, radius_);
     udg_ = engine::build_udg_staged(engine_->pool(), points_, radius_, &stats.pipeline);
-    engine::PatchSeed seed;
     backbone_ = engine::build_backbone_staged(engine_->pool(), udg_, engine_->options(),
-                                              &stats.pipeline, nullptr, &seed);
-
-    // Elections arrive in ascending pair order per ledger, so every
-    // insert lands at the end of its map or set.
-    for (PairLedger& ledger : ledgers_) ledger.clear();
-    connector_refs_.assign(n, 0);
-    cds_refs_.clear();
-    cds_refs_.reserve(seed.edges.size());
-    const auto at = [](std::size_t offset) { return static_cast<std::ptrdiff_t>(offset); };
-    for (std::size_t e = 0; e < seed.pairs.size(); ++e) {
-        PairLedger& ledger = ledgers_[e < seed.two_hop_count ? 0 : 1];
-        const Pair key = seed.pairs[e];
-        PairOutcome outcome;
-        outcome.connectors.assign(seed.connectors.begin() + at(seed.connector_offsets[e]),
-                                  seed.connectors.begin() + at(seed.connector_offsets[e + 1]));
-        outcome.edges.assign(seed.edges.begin() + at(seed.edge_offsets[e]),
-                             seed.edges.begin() + at(seed.edge_offsets[e + 1]));
-        for (const NodeId c : outcome.connectors) ++connector_refs_[c];
-        for (const Pair& edge : outcome.edges) ++cds_refs_[edge];
-        for (const NodeId end : {key.first, key.second}) {
-            std::set<Pair>& keys = ledger.by_node[end];
-            keys.emplace_hint(keys.end(), key);
-        }
-        ledger.entries.emplace_hint(ledger.entries.end(), key, std::move(outcome));
-    }
-    // kLdel2 builds hand over no lists; they never take the patch path.
-    local_tris_ = std::move(seed.local);
-    local_tris_.resize(n);
+                                              &stats.pipeline, nullptr, &retained_);
 
     // A rebuild counts as a patch with everything dirty, so per-batch
     // means stay comparable with localized batches: every node dirty,
     // every dominator a role flip, every LDel⁽¹⁾ triangle retested.
-    stats.dirty_nodes = n;
+    stats.fell_back = true;
+    stats.dirty_nodes = points_.size();
     stats.roles_changed = static_cast<std::size_t>(
         std::ranges::count(backbone_.cluster.role, Role::kDominator));
     for (const core::StageStats& stage : stats.pipeline.stages) {
@@ -318,18 +291,16 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     if (opts.planarizer != core::Planarizer::kLdel1 || !batch.leaves.empty()) {
         apply_positions_only(batch);
         rebuild_from_scratch(stats);
-        stats.fell_back = true;
         return stats;
     }
 
     const std::size_t n_after = points_.size() + batch.joins.size();
     PatchContext ctx(n_after);
 
-    {
-        StageTimer t(stats.pipeline, "udg-patch");
+    timed(stats.pipeline, "udg-patch", [&] {
         stage_udg(batch, ctx);
-        t.finish(ctx.udg_added.size() + ctx.udg_removed.size());
-    }
+        return ctx.udg_added.size() + ctx.udg_removed.size();
+    });
     stats.udg_edge_changes = ctx.udg_added.size() + ctx.udg_removed.size();
 
     // Whole-batch gate: the dirty region every later stage works from
@@ -348,23 +319,20 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
         opts.incremental_options.rebuild_fraction * static_cast<double>(n_after));
     const std::size_t total_cap = static_cast<std::size_t>(
         opts.incremental_options.total_rebuild_fraction * static_cast<double>(n_after));
-    const auto region = expand_hops(udg_, ctx.udg_removed_adj, seeds, 2);
+    const auto region = expand_hops(ctx, seeds, 2);
     if (region.size() > total_cap) {
         rebuild_from_scratch(stats);
-        stats.fell_back = true;
         return stats;
     }
     for (const NodeId v : region) ctx.touch(v);
 
     bool cascade_ok = true;
-    {
-        StageTimer t(stats.pipeline, "cluster-patch");
+    timed(stats.pipeline, "cluster-patch", [&] {
         cascade_ok = run_cluster_cascade(ctx, total_cap);
-        t.finish(ctx.roles_changed.size());
-    }
+        return ctx.roles_changed.size();
+    });
     if (!cascade_ok) {
         rebuild_from_scratch(stats);
-        stats.fell_back = true;
         return stats;
     }
 
@@ -374,63 +342,59 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     // fallback, so many small far-apart updates stay localized.
     const std::size_t merge_hops =
         std::max<std::size_t>(opts.incremental_options.component_merge_hops, 8);
-    std::vector<DirtyComponent> comps;
-    {
-        StageTimer t(stats.pipeline, "decompose-patch");
-        // Seeds: the connector-stage set c2 plus every moved node — a
+    std::vector<std::vector<NodeId>> comps;
+    timed(stats.pipeline, "decompose-patch", [&] {
+        // Seeds: the connector-stage set C2 — nodes whose election-
+        // relevant state changed (adjacency, role, dominator list,
+        // two-hop dominator list, or a fresh join). Every pair whose
+        // election can differ has a dominator within the 2-hop closure
+        // S2 of C2 over old ∪ new edges, because elections are pure
+        // functions of the states of N2(pair). Plus every moved node: a
         // move that changed no UDG edge still dirties the LDel/Gabriel
         // stages, so it must occupy a component (and count against the
         // caps). Planning with the superset only re-runs elections
         // whose inputs are unchanged, which is idempotent.
-        std::vector<NodeId> comp_seeds = build_c2(ctx);
-        comp_seeds.insert(comp_seeds.end(), ctx.moved.begin(), ctx.moved.end());
+        std::vector<NodeId> comp_seeds = ctx.moved;
+        for (const auto* nodes : {&ctx.adj_changed, &ctx.joined, &ctx.roles_changed,
+                                  &ctx.dom_list_changed, &ctx.two_hop_changed}) {
+            comp_seeds.insert(comp_seeds.end(), nodes->begin(), nodes->end());
+        }
         sort_unique(comp_seeds);
-        comps = decompose_components(ctx, comp_seeds, merge_hops);
-        t.finish(comps.size());
-    }
+        comps = decompose_components(ctx, comp_seeds, merge_hops, stats.components);
+        return comps.size();
+    });
     stats.separation_hops = merge_hops + 1;
     std::size_t region_total = 0;
-    for (DirtyComponent& comp : comps) {
+    for (ComponentStats& comp : stats.components) {
         comp.over_cap = comp.region.size() > comp_cap;
         region_total += comp.region.size();
         if (comp.over_cap) ++stats.component_fallbacks;
-        ComponentStats cs;
-        cs.seed_count = comp.seeds.size();
-        cs.over_cap = comp.over_cap;
-        cs.region = comp.region;
-        stats.components.push_back(std::move(cs));
     }
     if (stats.component_fallbacks > 0 || region_total > total_cap) {
         rebuild_from_scratch(stats);
-        stats.fell_back = true;
         return stats;
     }
-    {
-        StageTimer t(stats.pipeline, "connectors-patch");
+    const std::size_t plan_lanes = comps.size() > 1 ? engine_->thread_count() : 1;
+    timed(stats.pipeline, "connectors-patch", [&] {
         stage_connectors_componentwise(ctx, comps);
-        t.finish(ctx.pairs_recomputed(),
-                 comps.size() > 1 ? engine_->thread_count() : 1);
-    }
-    {
-        StageTimer t(stats.pipeline, "icds-patch");
+        return ctx.pairs_recomputed();
+    }, plan_lanes);
+    timed(stats.pipeline, "icds-patch", [&] {
         stage_icds(ctx);
-        t.finish(ctx.icds_added.size() + ctx.icds_removed.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "ldel-patch");
+        return ctx.icds_added.size() + ctx.icds_removed.size();
+    });
+    timed(stats.pipeline, "ldel-patch", [&] {
         stage_ldel(ctx, stats);
-        t.finish(ctx.ldel_dirty.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "gabriel-patch");
+        return ctx.ldel_dirty.size();
+    });
+    timed(stats.pipeline, "gabriel-patch", [&] {
         stage_gabriel(ctx);
-        t.finish(ctx.ldel_dirty.size());
-    }
-    {
-        StageTimer t(stats.pipeline, "assemble-patch");
+        return ctx.ldel_dirty.size();
+    });
+    timed(stats.pipeline, "assemble-patch", [&] {
         stage_assemble(ctx);
-        t.finish(ctx.dom_list_changed.size());
-    }
+        return ctx.dom_list_changed.size();
+    });
     stats.dirty_nodes = ctx.dirty_count;
     stats.roles_changed = ctx.roles_changed.size();
     stats.pairs_recomputed = ctx.pairs_recomputed();
@@ -455,11 +419,12 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
         if (ctx.moved_flag[mv.node] == 0) {
             ctx.moved_flag[mv.node] = 1;
             ctx.moved.push_back(mv.node);
-            ctx.moved_from.emplace(mv.node, old);
+            ctx.moved_from.emplace_back(mv.node, old);
             ctx.touch(mv.node);
         }
     }
     sort_unique(ctx.moved);
+    std::ranges::sort(ctx.moved_from, {}, &std::pair<NodeId, geom::Point>::first);
     for (const NodeId v : ctx.moved) udg_.set_point(v, points_[v]);
     // All seven graphs hold the same positions: share the UDG's array
     // instead of patching (and, after a snapshot, cloning) six copies.
@@ -497,8 +462,6 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
             [&](NodeId u) {
                 if (!udg_.remove_edge(v, u)) return;
                 ctx.udg_removed.push_back(norm(v, u));
-                ctx.udg_removed_adj[v].push_back(u);
-                ctx.udg_removed_adj[u].push_back(v);
                 mark_adj(v);
                 mark_adj(u);
             },
@@ -512,7 +475,10 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
     sort_unique(ctx.adj_changed);
     sort_unique(ctx.udg_added);
     sort_unique(ctx.udg_removed);
-    for (auto& [v, list] : ctx.udg_removed_adj) sort_unique(list);
+    for (const auto& [u, v] : ctx.udg_removed) {
+        ctx.udg_removed_adj.insert(ctx.udg_removed_adj.end(), {{u, v}, {v, u}});
+    }
+    std::ranges::sort(ctx.udg_removed_adj);
 }
 
 // ---- Stage 1: clustering cascade + derived lists ---------------------
@@ -524,9 +490,11 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     // Seeds: every node whose role-function inputs changed — its own
     // neighbor set (adj_changed, joins), and under kHighestDegree the
     // keys of its neighbors (degree changes propagate one hop).
-    std::set<protocol::ClusterKey> worklist;
+    std::priority_queue<protocol::ClusterKey, std::vector<protocol::ClusterKey>,
+                        std::greater<>>
+        worklist;
     const auto key_of = [&](NodeId v) { return protocol::cluster_key(udg_, v, policy); };
-    const auto seed = [&](NodeId v) { worklist.insert(key_of(v)); };
+    const auto seed = [&](NodeId v) { worklist.push(key_of(v)); };
     for (const NodeId v : ctx.adj_changed) seed(v);
     for (const NodeId v : ctx.joined) seed(v);
     if (policy == protocol::ClusterPolicy::kHighestDegree) {
@@ -540,10 +508,11 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
     // Pops increase monotonically and a role change only re-enqueues
     // key-larger neighbors, so every processed node sees the final
     // roles of all key-smaller nodes — the defining property of the
-    // greedy order, which makes the localized cascade exact.
+    // greedy order, which makes the localized cascade exact. It also
+    // means each node is decided once: its copies pop together.
     while (!worklist.empty()) {
-        const protocol::ClusterKey key = *worklist.begin();
-        worklist.erase(worklist.begin());
+        const protocol::ClusterKey key = worklist.top();
+        while (!worklist.empty() && worklist.top() == key) worklist.pop();
         const NodeId v = key.id;
         bool dominated = false;
         for (const NodeId u : udg_.neighbors(v)) {
@@ -554,12 +523,11 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
         }
         const Role role = dominated ? Role::kDominatee : Role::kDominator;
         if (role == cluster.role[v]) continue;
-        ctx.old_role.emplace(v, cluster.role[v]);
         cluster.role[v] = role;
         ctx.roles_changed.push_back(v);
         if (ctx.roles_changed.size() > cap) return false;
         for (const NodeId u : udg_.neighbors(v)) {
-            if (key_of(u) > key) worklist.insert(key_of(u));
+            if (key_of(u) > key) worklist.push(key_of(u));
         }
     }
     sort_unique(ctx.roles_changed);
@@ -580,7 +548,7 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
         protocol::derive_dominators(udg_, cluster.role, v, fresh);
         const auto old = cluster.dominators_of[v];
         if (!std::ranges::equal(fresh, old)) {
-            ctx.old_dominators.emplace(v, std::vector<NodeId>(old.begin(), old.end()));
+            for (const NodeId d : old) ctx.old_links.push_back(norm(v, d));
             cluster.dominators_of.assign(v, fresh);
             ctx.dom_list_changed.push_back(v);
             ctx.touch(v);
@@ -612,63 +580,58 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
 
 // ---- Stage 2: connector pair elections -------------------------------
 
-bool DynamicSpanner::delete_pair(PairLedger& ledger, Pair key, PatchContext& ctx) {
-    const auto it = ledger.entries.find(key);
-    if (it == ledger.entries.end()) return false;
-    for (const NodeId c : it->second.connectors) {
-        if (--connector_refs_[c] == 0) ctx.conn_touched.push_back(c);
+void DynamicSpanner::hold(const Item& item, int delta, PatchContext& ctx) {
+    if (!item.edge) {
+        int& refs = retained_.connector_refs[item.x];
+        const bool was = refs > 0;
+        refs += delta;
+        if (was != (refs > 0)) ctx.conn_touched.push_back(item.x);
+        return;
     }
-    for (const Pair& e : it->second.edges) {
-        const auto ref = cds_refs_.find(e);
-        assert(ref != cds_refs_.end() && ref->second > 0);
-        if (--ref->second > 0) continue;
-        cds_refs_.erase(ref);
-        backbone_.cds.remove_edge(e.first, e.second);
-        ctx.cds_changed.push_back(e);
-    }
-    ledger.by_node[key.first].erase(key);
-    ledger.by_node[key.second].erase(key);
-    ledger.entries.erase(it);
+    // The edge's count sits in the row of its smaller endpoint; a count
+    // that reaches zero leaves the row, and the edge leaves the CDS.
+    auto& counts = retained_.cds_refs;
+    const auto row = counts[item.x];
+    const std::size_t pos = lower_index(row, item.y, &engine::EdgeCount::other);
+    const std::uint32_t count =
+        pos < row.size() && row[pos].other == item.y ? row[pos].count : 0;
+    assert(delta > 0 || count > 0);
+    const engine::EdgeCount now{item.y, count + static_cast<std::uint32_t>(delta)};
+    counts.replace(item.x, pos, count > 0 ? 1 : 0,
+                   std::span(&now, now.count > 0 ? 1 : 0));
+    if (count == 0) backbone_.cds.add_edge(item.x, item.y);
+    if (now.count == 0) backbone_.cds.remove_edge(item.x, item.y);
+    if (count == 0 || now.count == 0) ctx.cds_changed.emplace_back(item.x, item.y);
+}
+
+bool DynamicSpanner::delete_election(const ElectionKey& key, PatchContext& ctx) {
+    const auto row = retained_.elected[key.first];
+    const auto [lo, hi] = run_of(row, key.three_hop, key.second);
+    if (lo == hi) return false;
+    for (const Item& item : row.subspan(lo, hi - lo)) hold(item, -1, ctx);
+    retained_.elected.replace(key.first, lo, hi - lo, {});
+    auto& by = retained_.elected_by;
+    const engine::ElectionRef ref{key.three_hop, key.first};
+    by.erase(key.second, lower_index(by[key.second], ref));
     return true;
 }
 
-void DynamicSpanner::commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome,
-                                 PatchContext& ctx) {
-    if (outcome.connectors.empty() && outcome.edges.empty()) return;
-    for (const NodeId c : outcome.connectors) {
-        if (connector_refs_[c]++ == 0) ctx.conn_touched.push_back(c);
-    }
-    for (const Pair& e : outcome.edges) {
-        if (cds_refs_[e]++ > 0) continue;
-        backbone_.cds.add_edge(e.first, e.second);
-        ctx.cds_changed.push_back(e);
-    }
-    ledger.by_node[key.first].insert(key);
-    ledger.by_node[key.second].insert(key);
-    const bool inserted = ledger.entries.emplace(key, std::move(outcome)).second;
-    assert(inserted);
-    (void)inserted;
+void DynamicSpanner::commit_election(NodeId first, std::span<const Item> items,
+                                     PatchContext& ctx) {
+    for (const Item& item : items) hold(item, +1, ctx);
+    const Item& head = items.front();
+    const auto [lo, hi] = run_of(retained_.elected[first], head.three_hop, head.second);
+    assert(lo == hi);
+    retained_.elected.replace(first, lo, 0, items);
+    auto& by = retained_.elected_by;
+    const engine::ElectionRef ref{head.three_hop, first};
+    by.insert(head.second, lower_index(by[head.second], ref), ref);
 }
 
-std::vector<graph::NodeId> DynamicSpanner::build_c2(const PatchContext& ctx) const {
-    // C2: nodes whose election-relevant state changed (adjacency, role,
-    // dominator list, two-hop dominator list, or a fresh join). Every
-    // pair whose election can differ has a dominator within the 2-hop
-    // closure S2 of C2 over old ∪ new edges, because elections are pure
-    // functions of the states of N2(pair).
-    std::vector<NodeId> c2 = ctx.adj_changed;
-    c2.insert(c2.end(), ctx.joined.begin(), ctx.joined.end());
-    c2.insert(c2.end(), ctx.roles_changed.begin(), ctx.roles_changed.end());
-    c2.insert(c2.end(), ctx.dom_list_changed.begin(), ctx.dom_list_changed.end());
-    c2.insert(c2.end(), ctx.two_hop_changed.begin(), ctx.two_hop_changed.end());
-    sort_unique(c2);
-    return c2;
-}
-
-std::vector<DynamicSpanner::DirtyComponent> DynamicSpanner::decompose_components(
-    const PatchContext& ctx, const std::vector<NodeId>& c2,
-    std::size_t merge_hops) const {
-    std::vector<DirtyComponent> comps;
+std::vector<std::vector<graph::NodeId>> DynamicSpanner::decompose_components(
+    const PatchContext& ctx, const std::vector<NodeId>& c2, std::size_t merge_hops,
+    std::vector<ComponentStats>& out) const {
+    std::vector<std::vector<NodeId>> comps;
     if (c2.empty()) return comps;
 
     // Union-find over seed indices; smaller root wins, so each class's
@@ -722,10 +685,7 @@ std::vector<DynamicSpanner::DirtyComponent> DynamicSpanner::decompose_components
                 }
             };
             for (const NodeId u : udg_.neighbors(v)) visit(u);
-            const auto it = ctx.udg_removed_adj.find(v);
-            if (it != ctx.udg_removed_adj.end()) {
-                for (const NodeId u : it->second) visit(u);
-            }
+            for (const auto& [v_, u] : lost_at(ctx.udg_removed_adj, v)) visit(u);
         }
         std::swap(frontier, next);
     }
@@ -736,11 +696,9 @@ std::vector<DynamicSpanner::DirtyComponent> DynamicSpanner::decompose_components
     for (std::uint32_t i = 0; i < c2.size(); ++i) members[find(i)].push_back(i);
     for (std::uint32_t r = 0; r < members.size(); ++r) {
         if (members[r].empty()) continue;
-        DirtyComponent comp;
-        comp.seeds.reserve(members[r].size());
-        for (const std::uint32_t idx : members[r]) comp.seeds.push_back(c2[idx]);
-        comp.region = expand_hops(udg_, ctx.udg_removed_adj, comp.seeds, 2);
-        comps.push_back(std::move(comp));
+        std::vector<NodeId>& seeds = comps.emplace_back();
+        for (const std::uint32_t idx : members[r]) seeds.push_back(c2[idx]);
+        out.push_back({seeds.size(), false, expand_hops(ctx, seeds, 2)});
     }
     return comps;
 }
@@ -750,132 +708,115 @@ void DynamicSpanner::plan_connectors(const PatchContext& ctx,
                                      ConnectorPlan& plan) const {
     const auto& cluster = backbone_.cluster;
 
-    // Delete every ledger pair with a dirty-dominator endpoint in this
-    // component's S2 and re-run its election. Everything here reads the
-    // frozen pre-commit state only — ctx dirty sets, the UDG, the
-    // cluster lists, and the ledgers are not mutated until commit.
-    const auto s2 = expand_hops(udg_, ctx.udg_removed_adj, c2, 2);
+    // Delete every election with a dirty-dominator endpoint in this
+    // component's S2 and re-run it. Everything here reads the frozen
+    // pre-commit state only — ctx dirty sets, the UDG, the cluster
+    // lists, and the retained rows are not mutated until commit.
+    const auto s2 = expand_hops(ctx, c2, 2);
     plan.touched = s2;
 
-    std::vector<NodeId> dirty_dominators;
-    for (const NodeId d : s2) {
-        const bool is_now = cluster.role[d] == Role::kDominator;
-        const auto it = ctx.old_role.find(d);
-        const bool was = it != ctx.old_role.end() ? it->second == Role::kDominator
-                                                  : is_now;
-        if (is_now || was) dirty_dominators.push_back(d);
-    }
-
-    std::vector<std::pair<int, Pair>> deletions;
-    for (const NodeId d : dirty_dominators) {
-        for (const int which : {0, 1}) {
-            const auto idx = ledgers_[which].by_node.find(d);
-            if (idx == ledgers_[which].by_node.end()) continue;
-            for (const Pair& key : idx->second) deletions.emplace_back(which, key);
-        }
-    }
-
-    // Re-elect every pair with a recompute-dominator endpoint. All its
-    // candidate generators w lie within 2 hops of that endpoint, so the
-    // election kernel's scan of W2 rebuilds its complete candidate list.
+    // A dirty dominator is one now or before the batch (a role flip is a
+    // change of role): drop the elections whose pairs it starts or ends.
+    // Re-elect every pair with an endpoint that is a dominator now (a
+    // recompute dominator). All its candidate generators w lie within 2
+    // hops of that endpoint, so the election kernel's scan of W2
+    // rebuilds its complete candidate list.
+    std::vector<ElectionKey>& deletions = plan.deletions;
     std::vector<NodeId> rec;
     std::vector<char> rec_flag(points_.size(), 0);
-    for (const NodeId d : dirty_dominators) {
-        if (cluster.role[d] == Role::kDominator) {
+    for (const NodeId d : s2) {
+        const bool now = cluster.role[d] == Role::kDominator;
+        if (!now && !std::ranges::binary_search(ctx.roles_changed, d)) continue;
+        if (now) {
             rec.push_back(d);
             rec_flag[d] = 1;
         }
+        const auto row = retained_.elected[d];
+        for (std::size_t k = 0; k < row.size(); ++k) {
+            if (opens_run(row, k)) {
+                deletions.push_back({row[k].three_hop, d, row[k].second});
+            }
+        }
+        for (const engine::ElectionRef& ref : retained_.elected_by[d]) {
+            deletions.push_back({ref.three_hop, ref.first, d});
+        }
     }
-    const protocol::ConnectorCandidates cands = protocol::collect_candidates(
-        cluster, expand_hops(udg_, ctx.udg_removed_adj, rec, 2), rec_flag);
+    const protocol::ConnectorCandidates cands =
+        protocol::collect_candidates(cluster, expand_hops(ctx, rec, 2), rec_flag);
 
-    // A re-elected outcome identical to the pair's retained ledger
-    // entry makes its delete + recommit a refcount no-op: record the
-    // key as retained (ascending — groups come in pair order) and emit
-    // neither. The kernel settles outcomes into the ledger's form.
-    std::array<std::vector<Pair>, 2> retained;
+    // A re-election whose items equal the pair's retained run makes its
+    // delete + recommit a refcount no-op: record the key as retained
+    // (ascending — groups come in pair order) and emit neither.
+    std::vector<ElectionKey> retained;
     protocol::PairElection election;
-    const auto plan_groups = [&](int which, const protocol::PairGroups& groups) {
+    const auto plan_groups = [&](bool three_hop, const protocol::PairGroups& groups) {
         for (std::size_t g = 0; g < groups.size(); ++g) {
             const Pair pair = groups.pairs[g];
-            if (which == 0) {
-                protocol::elect_two_hop(udg_, pair, groups.candidates(g), election);
-            } else {
+            if (three_hop) {
                 protocol::elect_three_hop(udg_, cluster, pair, groups.candidates(g),
                                           election);
+            } else {
+                protocol::elect_two_hop(udg_, pair, groups.candidates(g), election);
             }
             ++plan.pairs_reelected;
-            const auto it = ledgers_[which].entries.find(pair);
-            if (it != ledgers_[which].entries.end() &&
-                it->second.connectors == election.connectors &&
-                it->second.edges == election.edges) {
-                retained[which].push_back(pair);
-                continue;
+            const std::size_t begin = plan.items.size();
+            engine::append_elected(three_hop, pair.second, election, plan.items);
+            const auto fresh = std::span(plan.items).subspan(begin);
+            const auto row = retained_.elected[pair.first];
+            const auto [lo, hi] = run_of(row, three_hop, pair.second);
+            if (std::ranges::equal(row.subspan(lo, hi - lo), fresh)) {
+                retained.push_back({three_hop, pair.first, pair.second});
+                plan.items.resize(begin);
+            } else if (!fresh.empty()) {
+                plan.commits.push_back({pair.first, plan.items.size()});
             }
-            plan.commits.push_back({which, pair, {election.connectors, election.edges}});
         }
     };
-    plan_groups(0, cands.two_hop);
-    plan_groups(1, cands.three_hop);
+    plan_groups(false, cands.two_hop);
+    plan_groups(true, cands.three_hop);
 
-    // Deletions, minus the retained keys.
-    plan.deletions.reserve(deletions.size());
-    for (const auto& [which, key] : deletions) {
-        if (std::binary_search(retained[which].begin(), retained[which].end(), key)) {
-            continue;
-        }
-        plan.deletions.emplace_back(which, key);
-    }
-}
-
-void DynamicSpanner::commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx) {
-    for (const NodeId v : plan.touched) ctx.touch(v);
-    // A pair with both endpoints dirty in the same component is planned
-    // for deletion twice; delete_pair is idempotent and only real
-    // deletions count.
-    std::size_t deleted = 0;
-    for (const auto& [which, key] : plan.deletions) {
-        if (delete_pair(ledgers_[which], key, ctx)) ++deleted;
-    }
-    for (auto& commit : plan.commits) {
-        commit_pair(ledgers_[commit.ledger], commit.key, std::move(commit.outcome), ctx);
-    }
-    ctx.pairs_deleted += deleted;
-    ctx.pairs_reelected += plan.pairs_reelected;
-}
-
-void DynamicSpanner::settle_connector_flags(PatchContext& ctx) {
-    sort_unique(ctx.conn_touched);
-    for (const NodeId c : ctx.conn_touched) {
-        const bool now = connector_refs_[c] > 0;
-        if (backbone_.is_connector[c] != now) {
-            backbone_.is_connector[c] = now;
-            ctx.connector_changed.push_back(c);
-            ctx.touch(c);
-        }
-    }
+    std::erase_if(deletions, [&](const ElectionKey& key) {
+        return std::ranges::binary_search(retained, key);
+    });
 }
 
 void DynamicSpanner::stage_connectors_componentwise(
-    PatchContext& ctx, const std::vector<DirtyComponent>& comps) {
+    PatchContext& ctx, const std::vector<std::vector<NodeId>>& comps) {
     // Plans are read-only against the frozen state and component
     // regions are disjoint, so planning parallelizes freely; commits
-    // mutate the shared ledgers/refcounts/graphs and run serially in
+    // mutate the shared rows/refcounts/graphs and run serially in
     // deterministic component order. Disjointness makes the serial
     // commit order immaterial to the result — the output is
     // edge-identical to planning all seeds as one component at any
     // thread count.
     std::vector<ConnectorPlan> plans(comps.size());
-    const auto body = [&](std::size_t i) {
-        plan_connectors(ctx, comps[i].seeds, plans[i]);
-    };
-    if (comps.size() > 1) {
-        engine_->pool().parallel_for(0, comps.size(), body);
-    } else {
-        for (std::size_t i = 0; i < comps.size(); ++i) body(i);
+    engine_->pool().parallel_for(0, comps.size(), [&](std::size_t i) {
+        plan_connectors(ctx, comps[i], plans[i]);
+    });
+    for (const ConnectorPlan& plan : plans) {
+        for (const NodeId v : plan.touched) ctx.touch(v);
+        // A pair with both endpoints dirty in the same component is
+        // planned for deletion twice; delete_election is idempotent and
+        // only real deletions count.
+        for (const ElectionKey& key : plan.deletions) {
+            if (delete_election(key, ctx)) ++ctx.pairs_deleted;
+        }
+        std::size_t begin = 0;
+        for (const auto& [first, end] : plan.commits) {
+            commit_election(first, std::span(plan.items).subspan(begin, end - begin), ctx);
+            begin = end;
+        }
+        ctx.pairs_reelected += plan.pairs_reelected;
     }
-    for (ConnectorPlan& plan : plans) commit_connector_plan(plan, ctx);
-    settle_connector_flags(ctx);
+    // is_connector flags from the final refcounts.
+    sort_unique(ctx.conn_touched);
+    for (const NodeId c : ctx.conn_touched) {
+        const bool now = retained_.connector_refs[c] > 0;
+        if (backbone_.is_connector[c] == now) continue;
+        backbone_.is_connector[c] = now;
+        ctx.connector_changed.push_back(c);
+        ctx.touch(c);
+    }
 }
 
 // ---- Stage 3: induced backbone (ICDS) --------------------------------
@@ -968,7 +909,9 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
 
     std::vector<std::vector<TriangleKey>> fresh(dirty.size());
     const auto body = [&](std::size_t i) {
-        fresh[i] = proximity::local_triangles_at(backbone_.icds, dirty[i]);
+        // One triangulation arena per lane, as in the engine's ldel stage.
+        thread_local proximity::LocalDelaunayScratch scratch;
+        proximity::local_triangles_at(backbone_.icds, dirty[i], scratch, fresh[i]);
     };
     for_items(engine_->pool(), dirty.size(), body);
 
@@ -976,18 +919,19 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     // dirty node. A triangle none of whose corners is dirty has all
     // three membership votes unchanged. The old votes are read before
     // the fresh lists replace them.
+    auto& local = retained_.local;
     std::vector<TriangleKey> candidates;
     for (std::size_t i = 0; i < dirty.size(); ++i) {
-        candidates.insert(candidates.end(), local_tris_[dirty[i]].begin(),
-                          local_tris_[dirty[i]].end());
+        const auto old = local[dirty[i]];
+        candidates.insert(candidates.end(), old.begin(), old.end());
         candidates.insert(candidates.end(), fresh[i].begin(), fresh[i].end());
     }
     sort_unique(candidates);
     std::vector<char> was(candidates.size());
     for (std::size_t i = 0; i < candidates.size(); ++i) {
-        was[i] = proximity::ldel1_member(local_tris_, candidates[i]) ? 1 : 0;
+        was[i] = proximity::ldel1_member(local, candidates[i]) ? 1 : 0;
     }
-    for (std::size_t i = 0; i < dirty.size(); ++i) local_tris_[dirty[i]] = std::move(fresh[i]);
+    for (std::size_t i = 0; i < dirty.size(); ++i) local.assign(dirty[i], fresh[i]);
 
     // Membership delta. `touched` collects the box of every triangle
     // that left LDel¹ where it was (batch-start positions), of every one
@@ -1001,8 +945,10 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
         return std::binary_search(kept.begin(), kept.end(), t);
     };
     const auto old_point = [&](NodeId v) {
-        const auto it = ctx.moved_from.find(v);
-        return it == ctx.moved_from.end() ? points_[v] : it->second;
+        if (ctx.moved_flag[v] == 0) return points_[v];
+        return std::ranges::lower_bound(ctx.moved_from, v, {},
+                                        &std::pair<NodeId, geom::Point>::first)
+            ->second;
     };
     const auto old_box = [&](TriangleKey t) {
         return box_of(old_point(t.a), old_point(t.b), old_point(t.c));
@@ -1013,7 +959,7 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     std::vector<Box> touched;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
         const TriangleKey t = candidates[i];
-        const bool now = proximity::ldel1_member(local_tris_, t);
+        const bool now = proximity::ldel1_member(local, t);
         if (was[i] != 0 && !now) {
             touched.push_back(old_box(t));
             if (is_kept(t)) ctx.kept_removed.push_back(t);
@@ -1031,7 +977,7 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     // partner coupling requires box intersection — so only LDel¹
     // triangles whose box meets a touched box re-run the test.
     std::vector<TriangleKey> retest;
-    for_each_ldel1_meeting(grid_, points_, backbone_.in_backbone, local_tris_, touched,
+    for_each_ldel1_meeting(grid_, points_, backbone_.in_backbone, local, touched,
                            [&](TriangleKey r) { retest.push_back(r); });
     std::sort(retest.begin(), retest.end());
     stats.triangles_retested += retest.size();
@@ -1045,7 +991,7 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
         const auto test = [&](TriangleKey r) {
             removed = removed || (r != t && proximity::alg3_removed_by(backbone_.icds, t, r));
         };
-        for_each_ldel1_meeting(grid_, points_, backbone_.in_backbone, local_tris_, {&box, 1},
+        for_each_ldel1_meeting(grid_, points_, backbone_.in_backbone, local, {&box, 1},
                                test);
         survives[i] = removed ? 0 : 1;
     });
@@ -1057,26 +1003,18 @@ void DynamicSpanner::stage_ldel(PatchContext& ctx, PatchStats& stats) {
     }
 
     // Merge the survivor deltas into the sorted triangle list in place.
-    // A key transitions at most once per patch. kept_removed holds two
-    // sorted runs; kept_added comes out of the sorted retest list and
-    // merges in from the back.
+    // A key transitions at most once per patch; kept_added comes out of
+    // the sorted retest list.
     std::vector<TriangleKey>& list = backbone_.ldel_triangles;
-    std::size_t i = list.size();
     if (!ctx.kept_removed.empty()) {
-        std::sort(ctx.kept_removed.begin(), ctx.kept_removed.end());
-        i = 0;
-        auto gone = ctx.kept_removed.begin();
-        for (const TriangleKey t : list) {
-            while (gone != ctx.kept_removed.end() && *gone < t) ++gone;
-            if (gone == ctx.kept_removed.end() || *gone != t) list[i++] = t;
-        }
+        std::ranges::sort(ctx.kept_removed);
+        std::erase_if(list, [&](TriangleKey t) {
+            return std::ranges::binary_search(ctx.kept_removed, t);
+        });
     }
-    std::size_t j = ctx.kept_added.size();
-    list.resize(i + j);
-    for (std::size_t k = list.size(); j > 0;) {
-        --k;
-        list[k] = i > 0 && ctx.kept_added[j - 1] < list[i - 1] ? list[--i] : ctx.kept_added[--j];
-    }
+    const auto staying = static_cast<std::ptrdiff_t>(list.size());
+    list.insert(list.end(), ctx.kept_added.begin(), ctx.kept_added.end());
+    std::inplace_merge(list.begin(), list.begin() + staying, list.end());
 }
 
 // ---- Stage 4b: LDel(ICDS) rows ---------------------------------------
@@ -1105,7 +1043,7 @@ void DynamicSpanner::stage_gabriel(PatchContext& ctx) {
             const auto [a, b] = norm(u, v);
             if (proximity::is_gabriel_edge(backbone_.icds, a, b)) row.push_back(u);
         }
-        for (const TriangleKey t : local_tris_[v]) {
+        for (const TriangleKey t : retained_.local[v]) {
             if (!std::binary_search(kept.begin(), kept.end(), t)) continue;
             for (const NodeId u : {t.a, t.b, t.c}) {
                 if (u != v) row.push_back(u);
@@ -1142,9 +1080,8 @@ void DynamicSpanner::stage_assemble(PatchContext& ctx) {
     // link of a dom_list_changed node (old lists captured during the
     // cascade); each such pair is re-derived from the final state.
     const auto& dominators = backbone_.cluster.dominators_of;
-    std::vector<Pair> links;
+    std::vector<Pair> links = ctx.old_links;
     for (const NodeId v : ctx.dom_list_changed) {
-        for (const NodeId d : ctx.old_dominators.at(v)) links.push_back(norm(v, d));
         for (const NodeId d : dominators[v]) links.push_back(norm(v, d));
     }
     const auto linked = [&](NodeId u, NodeId v) {
@@ -1173,11 +1110,10 @@ void DynamicSpanner::stage_assemble(PatchContext& ctx) {
 
 // ---- k-hop expansion over old ∪ new adjacency ------------------------
 
-std::vector<graph::NodeId> DynamicSpanner::expand_hops(
-    const GeometricGraph& g,
-    const std::unordered_map<NodeId, std::vector<NodeId>>& removed_adj,
-    const std::vector<NodeId>& seeds, int hops) const {
-    std::vector<char> visited(g.node_count(), 0);
+std::vector<graph::NodeId> DynamicSpanner::expand_hops(const PatchContext& ctx,
+                                                       const std::vector<NodeId>& seeds,
+                                                       int hops) const {
+    std::vector<char> visited(udg_.node_count(), 0);
     std::vector<NodeId> frontier;
     std::vector<NodeId> result;
     for (const NodeId v : seeds) {
@@ -1198,11 +1134,8 @@ std::vector<graph::NodeId> DynamicSpanner::expand_hops(
             }
         };
         for (const NodeId v : frontier) {
-            for (const NodeId u : g.neighbors(v)) visit(u);
-            const auto it = removed_adj.find(v);
-            if (it != removed_adj.end()) {
-                for (const NodeId u : it->second) visit(u);
-            }
+            for (const NodeId u : udg_.neighbors(v)) visit(u);
+            for (const auto& [v_, u] : lost_at(ctx.udg_removed_adj, v)) visit(u);
         }
         std::swap(frontier, next);
     }

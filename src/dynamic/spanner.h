@@ -32,9 +32,11 @@
 // Algorithm 3 resolves) and parallelize over items as before.
 //
 // Retained state: beside the positions, the node grid, the UDG and the
-// Backbone itself, only what a Backbone cannot answer — the connector
-// ledgers with their node and CDS-edge refcounts, and each node's local
-// triangle list over the ICDS. The rest is re-derived per patch:
+// Backbone itself, only what a Backbone cannot answer, in the per-node
+// rows of the engine::PatchSeed a full build hands over as is — the
+// connector elections with their node and CDS-edge refcounts, and each
+// node's local triangle list over the ICDS. A patch rewrites only the
+// rows of its dirty nodes. The rest is re-derived per patch:
 // LDel⁽¹⁾ membership from the lists' votes, the Algorithm 3 survivors
 // from Backbone::ldel_triangles, Algorithm 3 partners from the node
 // grid (LDel⁽¹⁾ sides are at most the radius, so every corner of a
@@ -56,12 +58,9 @@
 // state that later patches update.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <map>
-#include <set>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -163,57 +162,48 @@ class DynamicSpanner {
     [[nodiscard]] std::size_t node_count() const noexcept { return points_.size(); }
     [[nodiscard]] double radius() const noexcept { return radius_; }
     [[nodiscard]] engine::SpannerEngine& engine() noexcept { return *engine_; }
+    /// The retained state: equal, after any update sequence, to that of a
+    /// fresh DynamicSpanner on the same positions.
+    [[nodiscard]] const engine::PatchSeed& retained() const noexcept { return retained_; }
 
   private:
     using NodeId = graph::NodeId;
     using Pair = std::pair<NodeId, NodeId>;
     using TriangleKey = proximity::TriangleKey;
+    using Item = engine::ElectedItem;
 
-    struct PairHash {
-        std::size_t operator()(Pair p) const noexcept;
-    };
+    /// One connector election: two-hop elections use unordered (min,
+    /// max) dominator pairs, three-hop elections ordered (u, v) pairs.
+    struct ElectionKey {
+        bool three_hop = false;
+        NodeId first = 0;
+        NodeId second = 0;
 
-    /// Per-pair connector election outcome retained in the ledger:
-    /// the connectors it elected and the CDS edges it contributed
-    /// (deduplicated within the pair; refcounted across pairs).
-    struct PairOutcome {
-        std::vector<NodeId> connectors;
-        std::vector<Pair> edges;
-    };
-
-    /// One connector-election ledger (two-hop elections use unordered
-    /// pairs, three-hop elections ordered pairs) plus its node→pairs
-    /// reverse index for O(dirty) deletion.
-    struct PairLedger {
-        std::map<Pair, PairOutcome> entries;
-        std::unordered_map<NodeId, std::set<Pair>> by_node;
-
-        void clear() {
-            entries.clear();
-            by_node.clear();
-        }
+        friend auto operator<=>(const ElectionKey&, const ElectionKey&) = default;
     };
 
     /// Scratch + dirty sets of one localized apply(), rebuilt per batch.
     struct PatchContext {
         std::vector<NodeId> moved;        ///< sorted; nodes whose position changed
         std::vector<char> moved_flag;     ///< n-sized
-        /// Batch-start positions of the moved nodes: the boxes of the
-        /// LDel⁽¹⁾ triangles they held are built where those stood.
-        std::unordered_map<NodeId, geom::Point> moved_from;
+        /// Batch-start positions of the moved nodes, by node: the boxes of
+        /// the LDel⁽¹⁾ triangles they held are built where those stood.
+        std::vector<std::pair<NodeId, geom::Point>> moved_from;
         std::vector<NodeId> joined;       ///< sorted new ids
         std::vector<NodeId> adj_changed;  ///< sorted; endpoints of UDG edge deltas
         std::vector<Pair> udg_added;
         std::vector<Pair> udg_removed;
-        /// Removed-neighbor lists: adjacency of the *old* graph that the
-        /// new one lost, for k-hop expansion over old ∪ new edges.
-        std::unordered_map<NodeId, std::vector<NodeId>> udg_removed_adj;
+        /// udg_removed both ways, sorted: run (v, ·) is the *old* adjacency
+        /// v lost, for k-hop expansion over old ∪ new edges.
+        std::vector<Pair> udg_removed_adj;
 
-        std::vector<NodeId> roles_changed;  ///< sorted after the cascade
-        std::unordered_map<NodeId, protocol::Role> old_role;
-        /// Nodes whose dominators_of list changed, with the old list.
+        /// Sorted after the cascade. Each flips once, so its old role is
+        /// the opposite of its current one.
+        std::vector<NodeId> roles_changed;
+        /// Nodes whose dominators_of list changed, and the dominatee
+        /// links (v, dominator) their old lists held, normalized.
         std::vector<NodeId> dom_list_changed;
-        std::unordered_map<NodeId, std::vector<NodeId>> old_dominators;
+        std::vector<Pair> old_links;
         std::vector<NodeId> two_hop_changed;
 
         /// Nodes whose election refcount hit or left zero, for the
@@ -241,36 +231,28 @@ class DynamicSpanner {
         std::vector<char> dirty_union;  ///< union of all per-stage dirty nodes
         std::size_t dirty_count = 0;
 
-        explicit PatchContext(std::size_t n);  ///< flag vectors n-sized
-        void touch(NodeId v);  ///< adds v to the dirty union
-    };
-
-    /// One connected dirty component: its slice of the connector-stage
-    /// seed set c2 (sorted) and its 2-hop dirty region.
-    struct DirtyComponent {
-        std::vector<NodeId> seeds;
-        std::vector<NodeId> region;
-        bool over_cap = false;
+        explicit PatchContext(std::size_t n) : moved_flag(n, 0), dirty_union(n, 0) {}
+        void touch(NodeId v) {  ///< adds v to the dirty union
+            dirty_count += dirty_union[v] == 0 ? 1 : 0;
+            dirty_union[v] = 1;
+        }
     };
 
     /// The deferred effects of one component's connector re-election,
     /// computed read-only against the frozen pre-commit state. Plans of
-    /// disjoint components touch disjoint ledger keys, refcounts, and
+    /// disjoint components touch disjoint elections, refcounts, and
     /// edges, so committing them serially in component order is
     /// equivalent to any sequential per-component execution.
-    /// Re-elections whose outcome matches the retained ledger entry are
-    /// dropped at plan time (the delete + recommit would be a refcount
-    /// no-op), so deletions/commits carry only actual changes.
+    /// Re-elections whose items match the retained election are dropped
+    /// at plan time (the delete + recommit would be a refcount no-op),
+    /// so deletions/commits carry only actual changes.
     struct ConnectorPlan {
         std::vector<NodeId> touched;  ///< s2 — nodes to mark dirty
-        /// Ledger entries to drop: (index into ledgers_, key).
-        std::vector<std::pair<int, Pair>> deletions;
-        struct Commit {
-            int ledger;  ///< index into ledgers_
-            Pair key;
-            PairOutcome outcome;
-        };
-        std::vector<Commit> commits;
+        std::vector<ElectionKey> deletions;
+        /// Elections to commit as (first dominator, end): commit k holds
+        /// items[end of commit k - 1, or 0, end).
+        std::vector<std::pair<NodeId, std::size_t>> commits;
+        std::vector<Item> items;
         std::size_t pairs_reelected = 0;  ///< candidate pairs considered
     };
 
@@ -282,37 +264,31 @@ class DynamicSpanner {
     // elect_two_hop, elect_three_hop) for connector planning,
     // proximity::ldel1_member and alg3_removed_by for LDel⁽¹⁾ and
     // Algorithm 3, and proximity::is_gabriel_edge for the Gabriel patch.
-    // What stays here is the dirty-set bookkeeping and the ledgers.
+    // What stays here is the dirty-set bookkeeping and the retained rows.
     void stage_udg(const UpdateBatch& batch, PatchContext& ctx);
     /// Role cascade + derived-list recompute; false → more than `cap`
     /// roles flipped, caller falls back to a full rebuild.
     bool run_cluster_cascade(PatchContext& ctx, std::size_t cap);
-    /// The connector-stage seed set: every node whose election-relevant
-    /// state changed this batch (adjacency, role, dominator lists, or a
-    /// fresh join). Sorted.
-    [[nodiscard]] std::vector<NodeId> build_c2(const PatchContext& ctx) const;
     /// Partitions `c2` into connected dirty components: multi-source
     /// label BFS over old ∪ new adjacency, depth merge_hops / 2 per
     /// side, union-find merging labels whose frontiers meet. Distinct
     /// components' seed sets end up >= merge_hops + 1 hops apart.
-    /// Components come back in deterministic smallest-seed order with
-    /// their 2-hop dirty regions attached.
-    [[nodiscard]] std::vector<DirtyComponent> decompose_components(
-        const PatchContext& ctx, const std::vector<NodeId>& c2,
-        std::size_t merge_hops) const;
+    /// Components come back as sorted seed slices in deterministic
+    /// smallest-seed order; each one's ComponentStats, with its 2-hop
+    /// dirty region, is appended to `out`.
+    [[nodiscard]] std::vector<std::vector<NodeId>> decompose_components(
+        const PatchContext& ctx, const std::vector<NodeId>& c2, std::size_t merge_hops,
+        std::vector<ComponentStats>& out) const;
     /// Read-only election planning for one component's seed slice: the
     /// election kernel over the W2 scan, filtered to pairs with a
-    /// recompute endpoint, diffed against the ledgers.
+    /// recompute endpoint, diffed against the retained elections.
     void plan_connectors(const PatchContext& ctx, const std::vector<NodeId>& c2,
                          ConnectorPlan& plan) const;
-    /// Applies one plan's deletions and commits (serial, deterministic).
-    void commit_connector_plan(ConnectorPlan& plan, PatchContext& ctx);
-    /// Settles is_connector flags from the final refcounts.
-    void settle_connector_flags(PatchContext& ctx);
-    /// Plans all components concurrently on the engine pool, then
-    /// commits them serially in component order.
+    /// Plans all components concurrently on the engine pool, commits
+    /// them serially in component order, then settles is_connector
+    /// flags from the final refcounts.
     void stage_connectors_componentwise(PatchContext& ctx,
-                                        const std::vector<DirtyComponent>& comps);
+                                        const std::vector<std::vector<NodeId>>& comps);
     void stage_icds(PatchContext& ctx);
     void stage_ldel(PatchContext& ctx, PatchStats& stats);
     void stage_gabriel(PatchContext& ctx);
@@ -320,22 +296,26 @@ class DynamicSpanner {
 
     void append_node(geom::Point p);
     /// The engine's staged build from the current positions; its
-    /// elections and local triangle lists are loaded as the retained
-    /// state. `stats` gets the engine's stages and the totals an
+    /// PatchSeed becomes the retained state as is. `stats` is marked
+    /// fell_back and gets the engine's stages and the totals an
     /// everything-dirty patch would report.
     void rebuild_from_scratch(PatchStats& stats);
     void apply_positions_only(const UpdateBatch& batch);
 
-    // Connector-election helpers: a ledger entry plus the refcounts and
-    // CDS edges it holds. delete_pair returns false when the key was
-    // already gone (idempotent).
-    bool delete_pair(PairLedger& ledger, Pair key, PatchContext& ctx);
-    void commit_pair(PairLedger& ledger, Pair key, PairOutcome outcome, PatchContext& ctx);
+    // Connector-election helpers: an election's run of items plus the
+    // refcounts and CDS edges it holds. delete_election returns false
+    // when the election was already gone (idempotent).
+    bool delete_election(const ElectionKey& key, PatchContext& ctx);
+    void commit_election(NodeId first, std::span<const Item> items, PatchContext& ctx);
+    /// Counts `item` in (+1) or out (-1) of its connector's or CDS
+    /// edge's refcount, recording flips in `ctx`.
+    void hold(const Item& item, int delta, PatchContext& ctx);
 
-    [[nodiscard]] std::vector<NodeId> expand_hops(
-        const graph::GeometricGraph& g,
-        const std::unordered_map<NodeId, std::vector<NodeId>>& removed_adj,
-        const std::vector<NodeId>& seeds, int hops) const;
+    /// Sorted k-hop closure of `seeds` over the UDG plus the edges the
+    /// batch removed.
+    [[nodiscard]] std::vector<NodeId> expand_hops(const PatchContext& ctx,
+                                                  const std::vector<NodeId>& seeds,
+                                                  int hops) const;
 
     engine::SpannerEngine* engine_;
     double radius_ = 1.0;
@@ -344,18 +324,12 @@ class DynamicSpanner {
     graph::GeometricGraph udg_;
     core::Backbone backbone_;
 
-    // What the Backbone cannot answer. Connector state: per-pair
-    // outcomes plus the refcounts of the elected nodes and CDS edges
-    // (elected links overlap across pairs).
-    /// [0]: two-hop elections, unordered (min, max) dominator pairs;
-    /// [1]: three-hop elections, ordered (u, v) dominator pairs.
-    std::array<PairLedger, 2> ledgers_;
-    std::vector<int> connector_refs_;  ///< pairs electing each node
-    std::unordered_map<Pair, int, PairHash> cds_refs_;  ///< pairs electing each edge
-    /// Per-node local_triangles_at lists over the ICDS: their votes
-    /// define LDel⁽¹⁾ (ldel1_member), and a triangle is found in the
-    /// list of its least corner.
-    std::vector<std::vector<TriangleKey>> local_tris_;
+    /// What the Backbone cannot answer, in the rows the engine builds:
+    /// the connector elections with their node and CDS-edge refcounts,
+    /// and each node's local triangle list over the ICDS, whose votes
+    /// define LDel⁽¹⁾ (ldel1_member) and which finds a triangle at its
+    /// least corner.
+    engine::PatchSeed retained_;
 };
 
 }  // namespace geospanner::dynamic

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "core/input.h"
@@ -54,22 +55,28 @@ std::pair<std::size_t, std::size_t> block_range(std::size_t items, std::size_t b
 }
 
 /// Per-node rows in CSR form: row v is values[offsets[v], offsets[v + 1]).
+template <class T>
 struct Rows {
     std::vector<std::size_t> offsets{0};
-    std::vector<NodeId> values;
+    std::vector<T> values;
+
+    [[nodiscard]] std::span<const T> operator[](std::size_t v) const {
+        return std::span(values).subspan(offsets[v], offsets[v + 1] - offsets[v]);
+    }
 };
 
 /// Rows filled by `fill(v, row)` (which replaces `row`) in parallel node
 /// blocks. Each block writes its slice as CSR, never one vector per
 /// node, and the slices are concatenated in node order.
-template <class Fill>
-Rows parallel_rows(ThreadPool& pool, std::size_t lanes, std::size_t n, const Fill& fill) {
-    std::vector<Rows> blocks(block_count(n, lanes));
+template <class T, class Fill>
+Rows<T> parallel_rows(ThreadPool& pool, std::size_t lanes, std::size_t n,
+                      const Fill& fill) {
+    std::vector<Rows<T>> blocks(block_count(n, lanes));
     pool.parallel_for(0, blocks.size(), [&](std::size_t b) {
-        Rows& out = blocks[b];
+        Rows<T>& out = blocks[b];
         const auto [first, last] = block_range(n, blocks.size(), b);
         out.offsets.reserve(last - first + 1);
-        std::vector<NodeId> row;
+        std::vector<T> row;
         for (std::size_t v = first; v < last; ++v) {
             fill(static_cast<NodeId>(v), row);
             out.values.insert(out.values.end(), row.begin(), row.end());
@@ -77,9 +84,9 @@ Rows parallel_rows(ThreadPool& pool, std::size_t lanes, std::size_t n, const Fil
         }
     });
     if (blocks.size() == 1) return std::move(blocks[0]);
-    Rows rows;
+    Rows<T> rows;
     rows.offsets.reserve(n + 1);
-    for (const Rows& block : blocks) {
+    for (const Rows<T>& block : blocks) {
         const std::size_t base = rows.values.size();
         for (std::size_t r = 1; r < block.offsets.size(); ++r) {
             rows.offsets.push_back(base + block.offsets[r]);
@@ -89,10 +96,29 @@ Rows parallel_rows(ThreadPool& pool, std::size_t lanes, std::size_t n, const Fil
     return rows;
 }
 
+template <class T>
+graph::CowRows<T> cow_rows(const Rows<T>& rows) {
+    return graph::CowRows<T>(rows.offsets, rows.values);
+}
+
+/// The rows of `n` nodes that hold each (node, value) entry's value in
+/// that node's row, in entry order: a stable counting sort.
+template <class T>
+Rows<T> grouped_rows(std::size_t n, const std::vector<std::pair<NodeId, T>>& entries) {
+    Rows<T> rows;
+    rows.offsets.assign(n + 1, 0);
+    for (const auto& [v, value] : entries) ++rows.offsets[v + 1];
+    for (std::size_t v = 0; v < n; ++v) rows.offsets[v + 1] += rows.offsets[v];
+    rows.values.resize(entries.size());
+    std::vector<std::size_t> cursor(rows.offsets.begin(), rows.offsets.end() - 1);
+    for (const auto& [v, value] : entries) rows.values[cursor[v]++] = value;
+    return rows;
+}
+
 /// The graph whose edges are {v, u} for every u in row v. Each row must
 /// be ascending and hold only u > v, so the edge list comes out
 /// lexicographic — the bulk constructor's precondition.
-GeometricGraph graph_from_rows(std::vector<geom::Point> points, const Rows& above) {
+GeometricGraph graph_from_rows(std::vector<geom::Point> points, const Rows<NodeId>& above) {
     std::vector<std::pair<NodeId, NodeId>> edges;
     edges.reserve(above.values.size());
     for (std::size_t v = 0; v + 1 < above.offsets.size(); ++v) {
@@ -109,8 +135,10 @@ GeometricGraph graph_from_rows(std::vector<geom::Point> points, const Rows& abov
 // then the per-pair elections in parallel over fixed-size blocks of
 // pair groups. Each block owns its outcome buffer and one reused
 // PairElection; blocks merge in pair order and the CDS edges are sorted
-// and deduplicated once. With a PatchSeed, each block also records which
-// pair elected which slice of its buffers.
+// and deduplicated once. With a PatchSeed, each block also keeps every
+// election's items keyed by its first dominator and its reverse entry
+// keyed by its second; the merge groups both into rows and counts the
+// refcounts.
 
 protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGraph& udg,
                                              const protocol::ClusterState& cluster,
@@ -125,12 +153,10 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
         std::vector<NodeId> connectors;
         std::vector<protocol::DominatorPair> edges;
         std::size_t second_leg_candidates = 0;
-        // Seed only: the electing pairs, where each one's slices end,
-        // and how many of them are two-hop.
-        std::vector<protocol::DominatorPair> pairs;
-        std::vector<std::size_t> connector_ends;
-        std::vector<std::size_t> edge_ends;
-        std::size_t two_hop_pairs = 0;
+        // Seed only: the items keyed by first dominator, the reverse
+        // index entries keyed by second dominator.
+        std::vector<std::pair<NodeId, ElectedItem>> elected;
+        std::vector<std::pair<NodeId, ElectionRef>> refs;
     };
     constexpr std::size_t kBlock = 256;
     const std::size_t two = cands.two_hop.size();
@@ -138,57 +164,66 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
     std::vector<Block> blocks((groups + kBlock - 1) / kBlock);
     pool.parallel_for(0, blocks.size(), [&](std::size_t b) {
         protocol::PairElection election;
+        std::vector<ElectedItem> row;
         Block& out = blocks[b];
         for (std::size_t g = b * kBlock; g < std::min(groups, (b + 1) * kBlock); ++g) {
-            if (g < two) {
-                protocol::elect_two_hop(udg, cands.two_hop.pairs[g],
-                                        cands.two_hop.candidates(g), election);
-            } else {
-                protocol::elect_three_hop(udg, cluster, cands.three_hop.pairs[g - two],
+            const bool three_hop = g >= two;
+            const protocol::DominatorPair pair =
+                three_hop ? cands.three_hop.pairs[g - two] : cands.two_hop.pairs[g];
+            if (three_hop) {
+                protocol::elect_three_hop(udg, cluster, pair,
                                           cands.three_hop.candidates(g - two), election);
+            } else {
+                protocol::elect_two_hop(udg, pair, cands.two_hop.candidates(g), election);
             }
             out.connectors.insert(out.connectors.end(), election.connectors.begin(),
                                   election.connectors.end());
             out.edges.insert(out.edges.end(), election.edges.begin(),
                              election.edges.end());
             out.second_leg_candidates += election.second_leg_candidates;
-            if (seed != nullptr &&
-                !(election.connectors.empty() && election.edges.empty())) {
-                out.pairs.push_back(g < two ? cands.two_hop.pairs[g]
-                                            : cands.three_hop.pairs[g - two]);
-                out.connector_ends.push_back(out.connectors.size());
-                out.edge_ends.push_back(out.edges.size());
-                if (g < two) ++out.two_hop_pairs;
-            }
+            if (seed == nullptr) continue;
+            row.clear();
+            append_elected(three_hop, pair.second, election, row);
+            for (const ElectedItem& item : row) out.elected.emplace_back(pair.first, item);
+            if (!row.empty()) out.refs.push_back({pair.second, {three_hop, pair.first}});
         }
     });
 
     protocol::ConnectorState state;
     state.is_connector.assign(n, false);
     *items = cands.two_hop.nodes.size() + cands.three_hop.nodes.size();
+    std::vector<std::pair<NodeId, ElectedItem>> elected;
+    std::vector<std::pair<NodeId, ElectionRef>> refs;
+    if (seed != nullptr) seed->connector_refs.assign(n, 0);
     for (const Block& block : blocks) {
-        for (const NodeId c : block.connectors) state.is_connector[c] = true;
+        for (const NodeId c : block.connectors) {
+            state.is_connector[c] = true;
+            if (seed != nullptr) ++seed->connector_refs[c];
+        }
         state.cds_edges.insert(state.cds_edges.end(), block.edges.begin(),
                                block.edges.end());
         *items += block.second_leg_candidates;
-        if (seed == nullptr) continue;
-        const std::size_t connector_base = seed->connectors.size();
-        const std::size_t edge_base = seed->edges.size();
-        seed->two_hop_count += block.two_hop_pairs;
-        seed->pairs.insert(seed->pairs.end(), block.pairs.begin(), block.pairs.end());
-        for (const std::size_t end : block.connector_ends) {
-            seed->connector_offsets.push_back(connector_base + end);
-        }
-        for (const std::size_t end : block.edge_ends) {
-            seed->edge_offsets.push_back(edge_base + end);
-        }
-        seed->connectors.insert(seed->connectors.end(), block.connectors.begin(),
-                                block.connectors.end());
-        seed->edges.insert(seed->edges.end(), block.edges.begin(), block.edges.end());
+        elected.insert(elected.end(), block.elected.begin(), block.elected.end());
+        refs.insert(refs.end(), block.refs.begin(), block.refs.end());
     }
-    std::sort(state.cds_edges.begin(), state.cds_edges.end());
-    state.cds_edges.erase(std::unique(state.cds_edges.begin(), state.cds_edges.end()),
-                          state.cds_edges.end());
+    std::vector<protocol::DominatorPair>& edges = state.cds_edges;
+    std::sort(edges.begin(), edges.end());
+    if (seed != nullptr) {
+        // Equal edges are adjacent in sorted order: each run is one edge
+        // and its count.
+        std::vector<std::pair<NodeId, EdgeCount>> counts;
+        for (std::size_t k = 0, end = 0; k < edges.size(); k = end) {
+            while (end < edges.size() && edges[end] == edges[k]) ++end;
+            const auto count = static_cast<std::uint32_t>(end - k);
+            counts.push_back({edges[k].first, {edges[k].second, count}});
+        }
+        // Elections arrive two-hop then three-hop, each in pair order,
+        // so the stable groupings leave every row sorted.
+        seed->elected = cow_rows(grouped_rows(n, elected));
+        seed->elected_by = cow_rows(grouped_rows(n, refs));
+        seed->cds_refs = cow_rows(grouped_rows(n, counts));
+    }
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     return state;
 }
 
@@ -198,7 +233,7 @@ GeometricGraph parallel_induce(ThreadPool& pool, std::size_t lanes,
                                const GeometricGraph& udg,
                                const std::vector<bool>& in_backbone) {
     // Rows inherit the adjacency order (ascending).
-    const Rows above = parallel_rows(pool, lanes, udg.node_count(),
+    const Rows<NodeId> above = parallel_rows<NodeId>(pool, lanes, udg.node_count(),
                                      [&](NodeId v, std::vector<NodeId>& row) {
                                          row.clear();
                                          if (!in_backbone[v]) return;
@@ -211,39 +246,33 @@ GeometricGraph parallel_induce(ThreadPool& pool, std::size_t lanes,
 
 // ---- LDel stage ------------------------------------------------------
 
-/// LDel⁽¹⁾ triangles via the per-node kernel, node loops in parallel.
+/// LDel⁽¹⁾ triangles via the per-node kernel, in parallel node blocks.
 /// Same filter as proximity::ldel1_triangles: a triangle survives iff it
 /// appears in the local Delaunay triangulation of all three vertices.
 /// The per-node lists move into `keep` when it is set.
-std::vector<TriangleKey> parallel_ldel1_triangles(
-    ThreadPool& pool, const GeometricGraph& icds,
-    std::vector<std::vector<TriangleKey>>* keep) {
-    const auto n = static_cast<NodeId>(icds.node_count());
-    std::vector<std::vector<TriangleKey>> local(n);
-    pool.parallel_for(0, n, [&](std::size_t u) {
-        // One triangulation arena per lane, reused across nodes and
-        // builds: the per-node local Delaunay cost is allocator-bound
-        // without it. Results are independent of scratch history.
-        thread_local proximity::LocalDelaunayScratch scratch;
-        proximity::local_triangles_at(icds, static_cast<NodeId>(u), scratch, local[u]);
-    });
-
-    std::vector<std::vector<TriangleKey>> mine(n);
-    pool.parallel_for(0, n, [&](std::size_t u) {
-        for (const auto& t : local[u]) {
-            // Count each triangle once, at its least vertex.
-            if (t.a == u && proximity::ldel1_member(local, t)) mine[u].push_back(t);
-        }
-    });
-
-    // Concatenating in node order yields the globally sorted set (the
-    // least vertex is the leading key component).
-    std::vector<TriangleKey> result;
-    for (NodeId u = 0; u < n; ++u) {
-        result.insert(result.end(), mine[u].begin(), mine[u].end());
-    }
-    if (keep != nullptr) *keep = std::move(local);
-    return result;
+std::vector<TriangleKey> parallel_ldel1_triangles(ThreadPool& pool, std::size_t lanes,
+                                                  const GeometricGraph& icds,
+                                                  graph::CowRows<TriangleKey>* keep) {
+    const std::size_t n = icds.node_count();
+    const Rows<TriangleKey> local = parallel_rows<TriangleKey>(
+        pool, lanes, n, [&](NodeId u, std::vector<TriangleKey>& row) {
+            // One triangulation arena per lane, reused across nodes and
+            // builds: the per-node local Delaunay cost is allocator-bound
+            // without it. Results are independent of scratch history.
+            thread_local proximity::LocalDelaunayScratch scratch;
+            proximity::local_triangles_at(icds, u, scratch, row);
+        });
+    // Each triangle once, at its least vertex: concatenated in node
+    // order, the rows are the globally sorted set.
+    Rows<TriangleKey> mine = parallel_rows<TriangleKey>(
+        pool, lanes, n, [&](NodeId u, std::vector<TriangleKey>& row) {
+            row.clear();
+            for (const TriangleKey& t : local[u]) {
+                if (t.a == u && proximity::ldel1_member(local, t)) row.push_back(t);
+            }
+        });
+    if (keep != nullptr) *keep = cow_rows(local);
+    return std::move(mine.values);
 }
 
 /// Algorithm 3 over blocks of the filter's grid cells: each block runs
@@ -286,8 +315,8 @@ GeometricGraph parallel_ldel_graph(ThreadPool& pool, std::size_t lanes,
         sides[cursor[t.b]++] = t.c;
     }
 
-    const Rows above =
-        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+    const Rows<NodeId> above =
+        parallel_rows<NodeId>(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
             row.assign(sides.begin() + static_cast<std::ptrdiff_t>(offset[v]),
                        sides.begin() + static_cast<std::ptrdiff_t>(offset[v + 1]));
             for (const NodeId u : icds.neighbors(v)) {
@@ -301,6 +330,16 @@ GeometricGraph parallel_ldel_graph(ThreadPool& pool, std::size_t lanes,
 
 }  // namespace
 
+void append_elected(bool three_hop, NodeId second, const protocol::PairElection& election,
+                    std::vector<ElectedItem>& row) {
+    for (const NodeId c : election.connectors) {
+        row.push_back({three_hop, second, false, c, c});
+    }
+    for (const auto& [x, y] : election.edges) {
+        row.push_back({three_hop, second, true, x, y});
+    }
+}
+
 protocol::ClusterState cluster_staged(ThreadPool& pool, const GeometricGraph& udg,
                                       protocol::ClusterPolicy policy) {
     // The MIS rounds are serial (a few ms); the lists derived from the
@@ -309,16 +348,16 @@ protocol::ClusterState cluster_staged(ThreadPool& pool, const GeometricGraph& ud
     const std::size_t n = udg.node_count();
     protocol::ClusterState state;
     state.role = protocol::elect_roles(udg, policy);
-    const Rows dominators =
-        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+    const Rows<NodeId> dominators =
+        parallel_rows<NodeId>(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
             protocol::derive_dominators(udg, state.role, v, row);
         });
-    state.dominators_of = graph::CowRows<NodeId>(dominators.offsets, dominators.values);
-    const Rows two_hop =
-        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+    state.dominators_of = cow_rows(dominators);
+    const Rows<NodeId> two_hop =
+        parallel_rows<NodeId>(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
             protocol::derive_two_hop_dominators(udg, state, v, row);
         });
-    state.two_hop_dominators_of = graph::CowRows<NodeId>(two_hop.offsets, two_hop.values);
+    state.two_hop_dominators_of = cow_rows(two_hop);
     return state;
 }
 
@@ -342,8 +381,8 @@ GeometricGraph build_udg_staged(ThreadPool& pool, std::vector<geom::Point> point
     start = Clock::now();
     const double r2 = radius * radius;
     const std::size_t lanes = stage_threads(pool);
-    const Rows above =
-        parallel_rows(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
+    const Rows<NodeId> above =
+        parallel_rows<NodeId>(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
             row.clear();
             grid.for_neighbors_above(points[v], v, r2, [&](NodeId u) { row.push_back(u); });
             std::sort(row.begin(), row.end());
@@ -377,6 +416,7 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
     const auto n = static_cast<NodeId>(udg.node_count());
     const std::size_t lanes = stage_threads(pool);
     const bool audit = options.audit && trail != nullptr;
+    if (seed != nullptr) *seed = {};
     core::Backbone result;
     result.cluster = std::move(cluster);
 
@@ -406,7 +446,7 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
     if (options.planarizer == core::Planarizer::kLdel1) {
         start = Clock::now();
         std::vector<TriangleKey> triangles = parallel_ldel1_triangles(
-            pool, result.icds, seed == nullptr ? nullptr : &seed->local);
+            pool, lanes, result.icds, seed == nullptr ? nullptr : &seed->local);
         push_stage(stats, "ldel", start, result.backbone_size(), lanes);
 
         start = Clock::now();

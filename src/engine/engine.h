@@ -21,11 +21,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/backbone.h"
 #include "core/report.h"
 #include "engine/thread_pool.h"
+#include "graph/cow_rows.h"
 #include "graph/geometric_graph.h"
 #include "protocol/connectors.h"
 #include "proximity/ldel.h"
@@ -74,28 +76,58 @@ struct EngineOptions {
     IncrementalOptions incremental_options;
 };
 
-/// By-products of a full build that dynamic::DynamicSpanner retains as
-/// the state its patches update, handed over instead of recomputed.
-/// build_backbone_staged and build_backbone_from_cluster fill one when
-/// given it; without one they do no extra work.
+/// One thing a connector election holds, in the row of its pair's first
+/// dominator: a node it elected (`edge` false, x == y) or a CDS edge
+/// (x, y), x < y, it contributed. Rows ascend, so election (three_hop,
+/// first, second) is one run of row `first`: its connectors, then its
+/// edges, each ascending as protocol::PairElection leaves them.
+struct ElectedItem {
+    bool three_hop = false;    ///< ordered three-hop pair; else two-hop, first < second
+    graph::NodeId second = 0;  ///< the pair's other dominator
+    bool edge = false;
+    graph::NodeId x = 0;
+    graph::NodeId y = 0;
+
+    friend auto operator<=>(const ElectedItem&, const ElectedItem&) = default;
+};
+
+/// Appends `election`'s items, for a pair ending at `second`, to `row`.
+void append_elected(bool three_hop, graph::NodeId second,
+                    const protocol::PairElection& election, std::vector<ElectedItem>& row);
+
+/// Reverse index entry: row v names each election whose pair ends at v.
+struct ElectionRef {
+    bool three_hop = false;
+    graph::NodeId first = 0;
+
+    friend auto operator<=>(const ElectionRef&, const ElectionRef&) = default;
+};
+
+/// A CDS edge (row, other), row < other, with the number of elections
+/// contributing it.
+struct EdgeCount {
+    graph::NodeId other = 0;
+    std::uint32_t count = 0;
+
+    friend bool operator==(const EdgeCount&, const EdgeCount&) = default;
+};
+
+/// The state dynamic::DynamicSpanner keeps between patches, as rows keyed
+/// by node: every connector election that elected a node or an edge,
+/// with its refcounts, and the LDel⁽¹⁾ votes. build_backbone_staged and
+/// build_backbone_from_cluster replace one when given it; without one
+/// they do no extra work.
 struct PatchSeed {
-    /// Every connector election that elected a node or an edge, in
-    /// flat columns: election e is pairs[e], electing
-    /// connectors[connector_offsets[e], connector_offsets[e + 1]) and
-    /// contributing edges[edge_offsets[e], edge_offsets[e + 1]), both
-    /// as protocol::PairElection leaves them. The first two_hop_count
-    /// elections are the two-hop ones (unordered pairs), the rest the
-    /// three-hop ones (ordered pairs); each run ascends by pair.
-    std::size_t two_hop_count = 0;
-    std::vector<protocol::DominatorPair> pairs;
-    std::vector<std::size_t> connector_offsets{0};
-    std::vector<graph::NodeId> connectors;
-    std::vector<std::size_t> edge_offsets{0};
-    std::vector<protocol::DominatorPair> edges;
+    graph::CowRows<ElectedItem> elected;     ///< row u: elections whose pair starts at u
+    graph::CowRows<ElectionRef> elected_by;  ///< row v: elections whose pair ends at v
+    std::vector<int> connector_refs;         ///< per node: elections electing it
+    graph::CowRows<EdgeCount> cds_refs;      ///< row u: CDS edges (u, v > u), ascending
     /// Per-node proximity::local_triangles_at lists over the ICDS, the
-    /// LDel⁽¹⁾ votes. Empty under Planarizer::kLdel2, which builds no
+    /// LDel⁽¹⁾ votes. No rows under Planarizer::kLdel2, which builds no
     /// such lists.
-    std::vector<std::vector<proximity::TriangleKey>> local;
+    graph::CowRows<proximity::TriangleKey> local;
+
+    friend bool operator==(const PatchSeed&, const PatchSeed&) = default;
 };
 
 /// One constructed instance: the UDG, every backbone topology, the
@@ -132,9 +164,9 @@ struct BuildResult {
 /// one StageStats entry per stage to `stats` when given. When
 /// `options.audit` and `trail` are both set, runs the post-stage
 /// verify:: audits and appends their StageAudits to `trail`. When
-/// `seed` is set, also fills it with the connector elections' outcomes
-/// and (kLdel1) the per-node local triangle lists; the output is the
-/// same either way. Throws std::invalid_argument before any work when
+/// `seed` is set, also replaces it with the connector elections and
+/// (kLdel1) the per-node local triangle lists; the output is the same
+/// either way. Throws std::invalid_argument before any work when
 /// core::input_error rejects the UDG's points.
 [[nodiscard]] core::Backbone build_backbone_staged(ThreadPool& pool,
                                                    const graph::GeometricGraph& udg,

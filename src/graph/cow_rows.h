@@ -29,7 +29,7 @@ namespace geospanner::graph {
 /// * Reads go through the const operator[], which returns a span into
 ///   the page: `pages_[i >> 4]->row(i & 15)`. A span stays valid until
 ///   the next write to this container.
-/// * Writes go through assign/insert/erase/push_back, which first
+/// * Writes go through replace/assign/insert/erase/push_back, which first
 ///   clone the page when another CowRows still references it. Copies are
 ///   therefore independent values, and operator== compares content
 ///   regardless of how pages are shared.
@@ -122,45 +122,37 @@ class CowRows {
         return pages_[i >> kPageShift]->row(i & kRowMask);
     }
 
+    /// Replaces the `count` elements of row i that start at position
+    /// `pos` with `values` (which must not alias this container).
+    void replace(std::size_t i, std::size_t pos, std::size_t count,
+                 std::span<const T> values) {
+        assert(i < size_ && pos + count <= (*this)[i].size());
+        Page& page = own(i >> kPageShift);
+        const std::size_t r = i & kRowMask;
+        const auto first = static_cast<std::ptrdiff_t>(page.begin(r) + pos);
+        const auto at = page.data.begin() + first;
+        if (values.size() > count) {
+            page.data.insert(at + static_cast<std::ptrdiff_t>(count), values.size() - count,
+                             T{});
+        } else {
+            page.data.erase(at + static_cast<std::ptrdiff_t>(values.size()),
+                            at + static_cast<std::ptrdiff_t>(count));
+        }
+        std::copy(values.begin(), values.end(), page.data.begin() + first);
+        page.shift_ends(r, static_cast<std::ptrdiff_t>(values.size()) -
+                               static_cast<std::ptrdiff_t>(count));
+    }
+
     /// Replaces row i with `row` (which must not alias this container).
     void assign(std::size_t i, std::span<const T> row) {
-        assert(i < size_);
-        Page& page = own(i >> kPageShift);
-        const std::size_t r = i & kRowMask;
-        const std::size_t first = page.begin(r);
-        const std::size_t old_size = page.end[r] - first;
-        const auto at = page.data.begin() + static_cast<std::ptrdiff_t>(first);
-        if (row.size() > old_size) {
-            page.data.insert(at + static_cast<std::ptrdiff_t>(old_size),
-                             row.size() - old_size, T{});
-        } else {
-            page.data.erase(at + static_cast<std::ptrdiff_t>(row.size()),
-                            at + static_cast<std::ptrdiff_t>(old_size));
-        }
-        std::copy(row.begin(), row.end(),
-                  page.data.begin() + static_cast<std::ptrdiff_t>(first));
-        page.shift_ends(r, static_cast<std::ptrdiff_t>(row.size()) -
-                               static_cast<std::ptrdiff_t>(old_size));
+        replace(i, 0, (*this)[i].size(), row);
     }
 
-    /// Inserts `value` at position `pos` of row i.
-    void insert(std::size_t i, std::size_t pos, T value) {
-        assert(i < size_ && pos <= (*this)[i].size());
-        Page& page = own(i >> kPageShift);
-        const std::size_t r = i & kRowMask;
-        page.data.insert(page.data.begin() + static_cast<std::ptrdiff_t>(page.begin(r) + pos),
-                         std::move(value));
-        page.shift_ends(r, 1);
-    }
+    /// Inserts `v` at position `pos` of row i.
+    void insert(std::size_t i, std::size_t pos, T v) { replace(i, pos, 0, {&v, 1}); }
 
     /// Removes the element at position `pos` of row i.
-    void erase(std::size_t i, std::size_t pos) {
-        assert(i < size_ && pos < (*this)[i].size());
-        Page& page = own(i >> kPageShift);
-        const std::size_t r = i & kRowMask;
-        page.data.erase(page.data.begin() + static_cast<std::ptrdiff_t>(page.begin(r) + pos));
-        page.shift_ends(r, -1);
-    }
+    void erase(std::size_t i, std::size_t pos) { replace(i, pos, 1, {}); }
 
     /// Appends `row` as the last row.
     void push_back(std::span<const T> row = {}) {

@@ -183,14 +183,6 @@ std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg) {
     return result;
 }
 
-bool ldel1_member(const std::vector<std::vector<TriangleKey>>& local, TriangleKey t) {
-    // Equivalent to circumcircle emptiness over the union of the three
-    // 1-hop neighborhoods. Per-node lists are sorted: binary search.
-    return std::ranges::binary_search(local[t.a], t) &&
-           std::ranges::binary_search(local[t.b], t) &&
-           std::ranges::binary_search(local[t.c], t);
-}
-
 std::vector<TriangleKey> ldel1_triangles_reference(const GeometricGraph& udg) {
     const auto n = static_cast<NodeId>(udg.node_count());
     std::vector<TriangleKey> result;

@@ -13,6 +13,7 @@
 // these results.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <span>
@@ -84,9 +85,14 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 /// LDel⁽¹⁾'s membership rule over per-node local_triangles_at lists:
 /// t is a 1-localized Delaunay triangle iff all three of its corners
 /// list it (a Delaunay triangle of N1(x) has its circumcircle empty of
-/// N1(x)).
-[[nodiscard]] bool ldel1_member(const std::vector<std::vector<TriangleKey>>& local,
-                                TriangleKey t);
+/// N1(x)). `local[v]` is v's sorted list, read as a row (a span, e.g.
+/// from graph::CowRows).
+template <class Rows>
+[[nodiscard]] bool ldel1_member(const Rows& local, TriangleKey t) {
+    return std::ranges::binary_search(local[t.a], t) &&
+           std::ranges::binary_search(local[t.b], t) &&
+           std::ranges::binary_search(local[t.c], t);
+}
 
 /// All 1-localized Delaunay triangles of the UDG, sorted. Computed via
 /// per-node local Delaunay triangulations (the efficient O(d log d)-per-

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -86,11 +87,11 @@ TEST(DynamicCellGrid, TracksRelocationsExactly) {
             grid.insert(id, points.back());
         }
     }
-    CellBuckets want;
+    std::map<proximity::CellCoord, std::vector<NodeId>> by_cell;
     for (NodeId v = 0; v < points.size(); ++v) {
-        want[proximity::cell_of(points[v], radius)].push_back(v);
+        by_cell[proximity::cell_of(points[v], radius)].push_back(v);
     }
-    ASSERT_EQ(grid.cells(), want);
+    ASSERT_EQ(grid.cells(), CellBuckets(by_cell.begin(), by_cell.end()));
     // Neighborhood enumeration equals a brute-force range scan.
     std::vector<NodeId> got;
     for (NodeId v = 0; v < points.size(); ++v) {
@@ -327,6 +328,67 @@ TEST(DynamicSpanner, PatchesAfterRebuildStayExact) {
                 ASSERT_FALSE(stats.fell_back) << "lanes " << lanes << " step " << step;
                 ASSERT_EQ(divergence(dyn, policy), "") << "lanes " << lanes << " step " << step;
             }
+        }
+    }
+}
+
+/// "" when `got` holds the same retained rows as `want`; otherwise the
+/// name of the first differing one.
+std::string retained_diff(const engine::PatchSeed& got, const engine::PatchSeed& want) {
+    if (!(got.elected == want.elected)) return "elected";
+    if (!(got.elected_by == want.elected_by)) return "elected_by";
+    if (got.connector_refs != want.connector_refs) return "connector_refs";
+    if (!(got.cds_refs == want.cds_refs)) return "cds_refs";
+    if (!(got.local == want.local)) return "local";
+    return {};
+}
+
+// The retained elections, refcounts and local lists after patches equal
+// those a fresh construction on the same positions starts from. Output
+// equality alone would miss a stale entry that has not changed an edge
+// yet.
+TEST(DynamicSpanner, RetainedStateMatchesRebuild) {
+    for (const std::size_t lanes : {1u, 2u, 4u}) {
+        for (const ClusterPolicy policy :
+             {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
+            engine::SpannerEngine engine(test::dynamic_engine_options(policy, lanes));
+            DynamicSpanner dyn(engine, degree12_points(1600, 11), 1.0);
+            rnd::Xoshiro256 rng(31 + lanes);
+            const auto diff = [&] {
+                const DynamicSpanner fresh(engine, dyn.positions(), 1.0);
+                return retained_diff(dyn.retained(), fresh.retained());
+            };
+            // A long highest-degree role cascade may legitimately fall
+            // back; nearly every batch must still take the patch path.
+            int localized = 0;
+            const auto localized_batches = [&](const char* phase) {
+                for (int step = 0; step < 8; ++step) {
+                    UpdateBatch batch;
+                    for (int i = 0; i < 2; ++i) {
+                        const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+                        const geom::Point p = dyn.positions()[v];
+                        batch.moves.push_back({v, {p.x + rng.uniform(-0.3, 0.3),
+                                                   p.y + rng.uniform(-0.3, 0.3)}});
+                    }
+                    if (step % 2 == 0) {
+                        const geom::Point p =
+                            dyn.positions()[rng.below(dyn.node_count())];
+                        batch.joins.push_back(
+                            {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)});
+                    }
+                    localized += dyn.apply(batch).fell_back ? 0 : 1;
+                    ASSERT_EQ(diff(), "") << "lanes " << lanes << " " << phase << " step "
+                                          << step;
+                }
+            };
+            localized_batches("before leave");
+            UpdateBatch leave;
+            leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
+            ASSERT_TRUE(dyn.apply(leave).fell_back);
+            ASSERT_EQ(diff(), "") << "lanes " << lanes << " leave";
+            localized_batches("after leave");
+            EXPECT_GE(localized, 14) << "lanes " << lanes;
+            ASSERT_EQ(divergence(dyn, policy), "") << "lanes " << lanes;
         }
     }
 }

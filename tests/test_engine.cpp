@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -126,6 +127,7 @@ TEST_P(EngineDeterminism, MatchesSequentialPathAtEveryThreadCount) {
     const core::Backbone expected =
         core::build_backbone(udg, {core::Engine::kCentralized});
 
+    PatchSeed seed_at_one_lane;
     for (const std::size_t threads : {1u, 2u, 8u}) {
         SpannerEngine engine({.threads = threads});
         core::PipelineStats stats;
@@ -137,6 +139,20 @@ TEST_P(EngineDeterminism, MatchesSequentialPathAtEveryThreadCount) {
         // Same through the UDG-skipping entry point.
         const core::Backbone direct = engine.build_backbone(udg, &stats);
         expect_backbones_equal(expected, direct);
+
+        // The retained state a build hands to dynamic::DynamicSpanner is
+        // lane-independent too, and handing it over changes no output.
+        PatchSeed seed;
+        expect_backbones_equal(expected, build_backbone_staged(engine.pool(), udg,
+                                                               engine.options(), nullptr,
+                                                               nullptr, &seed));
+        if (threads == 1) {
+            EXPECT_TRUE(
+                std::ranges::any_of(seed.connector_refs, [](int r) { return r > 0; }));
+            seed_at_one_lane = seed;
+        } else {
+            EXPECT_TRUE(seed == seed_at_one_lane) << "threads=" << threads;
+        }
 
         // Audits are read-only: with them enabled, output stays
         // edge-identical to the audits-off build at the same thread

@@ -1,15 +1,16 @@
-// Shared helpers for the benchmark harness (one binary per paper table
-// or figure). Every bench prints aligned-column tables of the same
-// series the paper plots; EXPERIMENTS.md records paper-vs-measured.
+// Shared helpers for the benchmark harness: bench_paper's Table I and
+// Figures 8-12, the ablations and the computation-cost benches. Every
+// bench prints aligned-column tables; EXPERIMENTS.md records
+// paper-vs-measured.
 #pragma once
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -103,8 +104,9 @@ inline std::string json_string(const std::string& text) {
 /// Minimal flat JSON object builder for the machine-readable bench
 /// trajectory (one object per run, appended as a line of JSON — easy to
 /// diff across PRs and to load with any JSON-lines reader). Output is
-/// strict JSON: keys and strings are escaped, and non-finite doubles
-/// (which JSON cannot represent) are written as null.
+/// strict JSON: keys and strings are escaped, finite doubles are written
+/// in the shortest form that reads back to the same value, and
+/// non-finite doubles (which JSON cannot represent) are written as null.
 class JsonObject {
   public:
     JsonObject& add(const std::string& key, const std::string& value) {
@@ -115,9 +117,9 @@ class JsonObject {
     }
     JsonObject& add(const std::string& key, double value) {
         if (!std::isfinite(value)) return raw(key, "null");
-        std::ostringstream v;
-        v << value;
-        return raw(key, v.str());
+        char text[32];
+        const auto end = std::to_chars(text, text + sizeof text, value).ptr;
+        return raw(key, std::string(text, end));
     }
     JsonObject& add(const std::string& key, std::size_t value) {
         return raw(key, std::to_string(value));
@@ -221,9 +223,12 @@ struct MaxAvg {
     double sum = 0.0;
     std::size_t count = 0;
 
-    void add(double value) {
-        max = std::max(max, value);
-        sum += value;
+    void add(double value) { add(value, value); }
+    /// One instance whose own statistic has a maximum and a mean: `max`
+    /// keeps the largest maximum, avg() averages the means.
+    void add(double instance_max, double instance_mean) {
+        max = std::max(max, instance_max);
+        sum += instance_mean;
         ++count;
     }
     [[nodiscard]] double avg() const {

@@ -23,8 +23,8 @@
 // clustered, and degenerate (collinear / cocircular) inputs.
 //
 // Backends are registered in a string-keyed factory registry so benches
-// and tools can select a construction by name (see GS_BACKEND in the
-// figure benches, and bench_backends for the head-to-head sweep).
+// and tools can select a construction by name (see bench_backends for
+// the head-to-head sweep).
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,20 @@ namespace geospanner::core {
 using graph::GeometricGraph;
 using graph::NodeId;
 
+namespace {
+
+/// UDG edges restricted to backbone nodes (the ICDS of the paper).
+GeometricGraph induce_on_backbone(const GeometricGraph& udg,
+                                  const std::vector<bool>& in_backbone) {
+    GeometricGraph g(udg.points());
+    for (const auto& [u, v] : udg.edges()) {
+        if (in_backbone[u] && in_backbone[v]) g.add_edge(u, v);
+    }
+    return g;
+}
+
+}  // namespace
+
 std::size_t MessageStats::max_of(const std::vector<std::size_t>& counts) {
     std::size_t m = 0;
     for (const std::size_t c : counts) m = std::max(m, c);
@@ -27,15 +41,6 @@ double MessageStats::avg_of(const std::vector<std::size_t>& counts) {
     std::size_t total = 0;
     for (const std::size_t c : counts) total += c;
     return static_cast<double>(total) / static_cast<double>(counts.size());
-}
-
-GeometricGraph induce_on_backbone(const GeometricGraph& udg,
-                                  const std::vector<bool>& in_backbone) {
-    GeometricGraph g(udg.points());
-    for (const auto& [u, v] : udg.edges()) {
-        if (in_backbone[u] && in_backbone[v]) g.add_edge(u, v);
-    }
-    return g;
 }
 
 GeometricGraph with_dominatee_links(const GeometricGraph& base,

@@ -88,11 +88,6 @@ struct BuildOptions {
 [[nodiscard]] Backbone build_backbone(const graph::GeometricGraph& udg,
                                       BuildOptions options = {});
 
-/// UDG edges restricted to backbone nodes (the ICDS of the paper).
-/// Shared by build_backbone and the engine's staged pipeline.
-[[nodiscard]] graph::GeometricGraph induce_on_backbone(
-    const graph::GeometricGraph& udg, const std::vector<bool>& in_backbone);
-
 /// Adds every dominatee→dominator link to a copy of `base` (the primed
 /// variants of the paper: CDS', ICDS', LDel(ICDS')).
 [[nodiscard]] graph::GeometricGraph with_dominatee_links(

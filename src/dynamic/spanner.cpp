@@ -31,6 +31,13 @@ namespace {
 /// index-owned slots and commit in index order).
 constexpr std::size_t kParallelThreshold = 64;
 
+/// Dirty components whose seed sets lie within this many hops (over the
+/// union of pre- and post-batch adjacency) merge before patching. The
+/// per-stage dirty expansions reach at most 7 hops past a component's
+/// seeds, so any margin >= 8 keeps the planned write/read sets of
+/// distinct components disjoint; the rest is safety slack.
+constexpr std::size_t kComponentMergeHops = 12;
+
 /// body(i) for every i < count, on the pool from kParallelThreshold
 /// items up.
 void for_items(engine::ThreadPool& pool, std::size_t count,
@@ -340,8 +347,6 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     // components and make the rebuild decision per component: only a
     // single over-cap component (or an over-cap union) forces the
     // fallback, so many small far-apart updates stay localized.
-    const std::size_t merge_hops =
-        std::max<std::size_t>(opts.incremental_options.component_merge_hops, 8);
     std::vector<std::vector<NodeId>> comps;
     timed(stats.pipeline, "decompose-patch", [&] {
         // Seeds: the connector-stage set C2 — nodes whose election-
@@ -360,10 +365,10 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
             comp_seeds.insert(comp_seeds.end(), nodes->begin(), nodes->end());
         }
         sort_unique(comp_seeds);
-        comps = decompose_components(ctx, comp_seeds, merge_hops, stats.components);
+        comps = decompose_components(ctx, comp_seeds, stats.components);
         return comps.size();
     });
-    stats.separation_hops = merge_hops + 1;
+    stats.separation_hops = kComponentMergeHops + 1;
     std::size_t region_total = 0;
     for (ComponentStats& comp : stats.components) {
         comp.over_cap = comp.region.size() > comp_cap;
@@ -629,7 +634,7 @@ void DynamicSpanner::commit_election(NodeId first, std::span<const Item> items,
 }
 
 std::vector<std::vector<graph::NodeId>> DynamicSpanner::decompose_components(
-    const PatchContext& ctx, const std::vector<NodeId>& c2, std::size_t merge_hops,
+    const PatchContext& ctx, const std::vector<NodeId>& c2,
     std::vector<ComponentStats>& out) const {
     std::vector<std::vector<NodeId>> comps;
     if (c2.empty()) return comps;
@@ -657,13 +662,14 @@ std::vector<std::vector<graph::NodeId>> DynamicSpanner::decompose_components(
         }
     };
 
-    // Multi-source label BFS over old ∪ new adjacency, ceil(merge_hops/2)
-    // rounds per side. Seeds within 2·depth >= merge_hops hops collide on
-    // some middle node and merge; seeds of distinct final components are
-    // therefore >= 2·depth + 1 >= merge_hops + 1 hops apart — clear of
-    // the <= 7-hop reach of every stage's dirty expansion, which is what
+    // Multi-source label BFS over old ∪ new adjacency,
+    // ceil(kComponentMergeHops/2) rounds per side. Seeds within
+    // 2·depth >= kComponentMergeHops hops collide on some middle node and
+    // merge; seeds of distinct final components are therefore
+    // >= 2·depth + 1 >= kComponentMergeHops + 1 hops apart — clear of the
+    // <= 7-hop reach of every stage's dirty expansion, which is what
     // makes the per-component plans' read/write sets disjoint.
-    const std::size_t depth = (merge_hops + 1) / 2;
+    const std::size_t depth = (kComponentMergeHops + 1) / 2;
     constexpr std::uint32_t kNone = ~std::uint32_t{0};
     std::vector<std::uint32_t> label(points_.size(), kNone);
     std::vector<NodeId> frontier;

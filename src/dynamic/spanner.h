@@ -21,8 +21,8 @@
 //
 // Concurrency: a batch's dirty set is decomposed into connected dirty
 // components (multi-source label BFS over old ∪ new adjacency with a
-// hop merge margin, unioned when frontiers meet). Components whose seed
-// sets stay >= component_merge_hops + 1 hops apart have disjoint
+// fixed 12-hop merge margin, unioned when frontiers meet). Components
+// whose seed sets stay >= 13 hops apart have disjoint
 // per-stage read and write sets — every stage's dirty expansion reaches
 // at most 7 hops past the seeds — so their connector elections are
 // *planned* concurrently on the engine ThreadPool against the frozen
@@ -126,7 +126,7 @@ struct PatchStats {
     std::vector<ComponentStats> components;
     std::size_t component_fallbacks = 0;  ///< components over the per-component cap
     /// Certified minimum hop separation between distinct components'
-    /// seed sets over old ∪ new adjacency (component_merge_hops + 1);
+    /// seed sets over old ∪ new adjacency (the 12-hop merge margin + 1);
     /// 0 when no decomposition ran. verify::audit_patch_components
     /// checks the region layout against it.
     std::size_t separation_hops = 0;
@@ -135,7 +135,7 @@ struct PatchStats {
 
 /// A maintained (UDG, Backbone) pair under point updates. The engine
 /// reference supplies the ThreadPool for the bulk kernels and the
-/// options (cluster policy, rebuild gates, merge margin).
+/// options (cluster policy, rebuild gates).
 /// Incremental patching supports the paper's default kLdel1 planarizer;
 /// kLdel2 configurations take the full-rebuild path on every batch,
 /// which builds LDel⁽²⁾ as the engine does.
@@ -270,14 +270,14 @@ class DynamicSpanner {
     /// roles flipped, caller falls back to a full rebuild.
     bool run_cluster_cascade(PatchContext& ctx, std::size_t cap);
     /// Partitions `c2` into connected dirty components: multi-source
-    /// label BFS over old ∪ new adjacency, depth merge_hops / 2 per
-    /// side, union-find merging labels whose frontiers meet. Distinct
-    /// components' seed sets end up >= merge_hops + 1 hops apart.
+    /// label BFS over old ∪ new adjacency, depth 6 per side (half the
+    /// 12-hop merge margin), union-find merging labels whose frontiers
+    /// meet. Distinct components' seed sets end up >= 13 hops apart.
     /// Components come back as sorted seed slices in deterministic
     /// smallest-seed order; each one's ComponentStats, with its 2-hop
     /// dirty region, is appended to `out`.
     [[nodiscard]] std::vector<std::vector<NodeId>> decompose_components(
-        const PatchContext& ctx, const std::vector<NodeId>& c2, std::size_t merge_hops,
+        const PatchContext& ctx, const std::vector<NodeId>& c2,
         std::vector<ComponentStats>& out) const;
     /// Read-only election planning for one component's seed slice: the
     /// election kernel over the W2 scan, filtered to pairs with a

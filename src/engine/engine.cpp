@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <ranges>
 #include <span>
 #include <utility>
 
@@ -102,16 +103,21 @@ graph::CowRows<T> cow_rows(const Rows<T>& rows) {
 }
 
 /// The rows of `n` nodes that hold each (node, value) entry's value in
-/// that node's row, in entry order: a stable counting sort.
-template <class T>
-Rows<T> grouped_rows(std::size_t n, const std::vector<std::pair<NodeId, T>>& entries) {
+/// that node's row, taking the `lists` of entries in order and each in
+/// entry order: a stable counting sort.
+template <class T, class Lists>
+Rows<T> grouped_rows(std::size_t n, const Lists& lists) {
     Rows<T> rows;
     rows.offsets.assign(n + 1, 0);
-    for (const auto& [v, value] : entries) ++rows.offsets[v + 1];
+    for (const auto& list : lists) {
+        for (const auto& [v, value] : list) ++rows.offsets[v + 1];
+    }
     for (std::size_t v = 0; v < n; ++v) rows.offsets[v + 1] += rows.offsets[v];
-    rows.values.resize(entries.size());
+    rows.values.resize(rows.offsets[n]);
     std::vector<std::size_t> cursor(rows.offsets.begin(), rows.offsets.end() - 1);
-    for (const auto& [v, value] : entries) rows.values[cursor[v]++] = value;
+    for (const auto& list : lists) {
+        for (const auto& [v, value] : list) rows.values[cursor[v]++] = value;
+    }
     return rows;
 }
 
@@ -137,8 +143,8 @@ GeometricGraph graph_from_rows(std::vector<geom::Point> points, const Rows<NodeI
 // PairElection; blocks merge in pair order and the CDS edges are sorted
 // and deduplicated once. With a PatchSeed, each block also keeps every
 // election's items keyed by its first dominator and its reverse entry
-// keyed by its second; the merge groups both into rows and counts the
-// refcounts.
+// keyed by its second; the merge groups both into rows straight from
+// the block buffers and counts the refcounts.
 
 protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGraph& udg,
                                              const protocol::ClusterState& cluster,
@@ -192,8 +198,6 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
     protocol::ConnectorState state;
     state.is_connector.assign(n, false);
     *items = cands.two_hop.nodes.size() + cands.three_hop.nodes.size();
-    std::vector<std::pair<NodeId, ElectedItem>> elected;
-    std::vector<std::pair<NodeId, ElectionRef>> refs;
     if (seed != nullptr) seed->connector_refs.assign(n, 0);
     for (const Block& block : blocks) {
         for (const NodeId c : block.connectors) {
@@ -203,25 +207,28 @@ protocol::ConnectorState parallel_connectors(ThreadPool& pool, const GeometricGr
         state.cds_edges.insert(state.cds_edges.end(), block.edges.begin(),
                                block.edges.end());
         *items += block.second_leg_candidates;
-        elected.insert(elected.end(), block.elected.begin(), block.elected.end());
-        refs.insert(refs.end(), block.refs.begin(), block.refs.end());
     }
     std::vector<protocol::DominatorPair>& edges = state.cds_edges;
     std::sort(edges.begin(), edges.end());
     if (seed != nullptr) {
         // Equal edges are adjacent in sorted order: each run is one edge
-        // and its count.
-        std::vector<std::pair<NodeId, EdgeCount>> counts;
+        // and its count, and the runs ascend by row.
+        Rows<EdgeCount> counts;
+        counts.offsets.assign(n + 1, 0);
         for (std::size_t k = 0, end = 0; k < edges.size(); k = end) {
             while (end < edges.size() && edges[end] == edges[k]) ++end;
             const auto count = static_cast<std::uint32_t>(end - k);
-            counts.push_back({edges[k].first, {edges[k].second, count}});
+            counts.values.push_back({edges[k].second, count});
+            ++counts.offsets[edges[k].first + 1];
         }
+        for (std::size_t v = 0; v < n; ++v) counts.offsets[v + 1] += counts.offsets[v];
+        seed->cds_refs = cow_rows(counts);
         // Elections arrive two-hop then three-hop, each in pair order,
         // so the stable groupings leave every row sorted.
-        seed->elected = cow_rows(grouped_rows(n, elected));
-        seed->elected_by = cow_rows(grouped_rows(n, refs));
-        seed->cds_refs = cow_rows(grouped_rows(n, counts));
+        seed->elected = cow_rows(grouped_rows<ElectedItem>(
+            n, std::views::transform(blocks, &Block::elected)));
+        seed->elected_by = cow_rows(
+            grouped_rows<ElectionRef>(n, std::views::transform(blocks, &Block::refs)));
     }
     edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
     return state;

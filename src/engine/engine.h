@@ -51,14 +51,6 @@ struct IncrementalOptions {
     /// into components — past roughly half the graph, even perfectly
     /// parallel localized patching loses to one parallel rebuild.
     double total_rebuild_fraction = 0.5;
-    /// Dirty components whose seed sets lie within this many hops (over
-    /// the union of pre- and post-batch adjacency) are merged before
-    /// patching. The per-stage dirty expansions reach at most 7 hops
-    /// past a component's seeds, so any value >= 8 keeps the planned
-    /// write/read sets of distinct components disjoint; values below
-    /// that are clamped. Larger margins only trade parallelism for
-    /// safety slack.
-    std::size_t component_merge_hops = 12;
 };
 
 struct EngineOptions {

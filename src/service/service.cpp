@@ -20,9 +20,8 @@ SpannerService::SpannerService(engine::SpannerEngine& engine,
                                ServiceOptions options)
     : engine_(&engine), options_(std::move(options)), radius_(radius),
       start_(std::chrono::steady_clock::now()) {
-    gate_configured_ =
-        options_.audit_every > 0 || static_cast<bool>(options_.post_apply_check);
-    track_last_good_ = gate_configured_ || options_.watchdog_ms > 0.0;
+    track_last_good_ =
+        static_cast<bool>(options_.post_apply_check) || options_.watchdog_ms > 0.0;
     if (track_last_good_) last_good_points_ = points;
     spanner_ = std::make_unique<dynamic::DynamicSpanner>(engine, std::move(points),
                                                          radius);
@@ -124,24 +123,15 @@ void SpannerService::process(Ingest& ingest) {
     const double apply_ms = ms_between(t0, std::chrono::steady_clock::now());
     SnapshotHandle next = capture(version_ + 1);
 
-    bool gate_ran = false;
-    if (gate_configured_) {
-        const std::size_t cadence =
-            options_.audit_every > 0 ? options_.audit_every : 1;
-        if (++gate_counter_ % cadence == 0) {
-            gate_ran = true;
-            std::string reason = run_gate(next);
-            if (!reason.empty()) {
-                roll_back(std::move(reason), batch, apply_ms, /*timed_out=*/false);
-                return;
-            }
+    if (options_.post_apply_check) {
+        std::string reason = options_.post_apply_check(*next);
+        if (!reason.empty()) {
+            roll_back(std::move(reason), batch, apply_ms, /*timed_out=*/false);
+            return;
         }
     }
-    // The rollback target only advances past states the gate actually
-    // certified (or every applied state when no gate is configured).
-    if (track_last_good_ && (!gate_configured_ || gate_ran)) {
-        last_good_points_ = next->points;
-    }
+    // Every state that reaches here passed the gate, if there is one.
+    if (track_last_good_) last_good_points_ = next->points;
 
     const std::lock_guard<std::mutex> lock(publish_mutex_);
     apply_ms_total_ += apply_ms;
@@ -197,15 +187,6 @@ SnapshotHandle SpannerService::capture(std::uint64_t version) const {
     snap->udg = spanner_->udg();
     snap->backbone = spanner_->backbone();
     return snap;
-}
-
-std::string SpannerService::run_gate(const SnapshotHandle& candidate) {
-    if (options_.post_apply_check) return options_.post_apply_check(*candidate);
-    const verify::AuditTrail trail = verify::audit_backbone(
-        candidate->udg, candidate->backbone, options_.audit_options);
-    if (trail.pass()) return {};
-    const verify::AuditReport* failure = trail.first_failure();
-    return failure ? "audit gate: " + failure->summary() : "audit gate failed";
 }
 
 void SpannerService::roll_back(std::string reason, const dynamic::UpdateBatch& batch,

@@ -26,8 +26,8 @@
 //   * Poisoned-batch quarantine: structurally invalid batches
 //     (dynamic::validate_batch: non-finite or out-of-range
 //     coordinates, out-of-range ids) are rejected before apply; an
-//     optional post-apply audit gate (verify::audit_backbone every
-//     audit_every batches, or a caller-supplied check) rolls a batch
+//     optional post-apply gate (a caller-supplied check run on every
+//     batch, e.g. one calling verify::audit_backbone) rolls a batch
 //     that corrupted the invariants back to the last good positions
 //     via full rebuild. Either way the service keeps serving and
 //     records a QuarantineReport.
@@ -67,7 +67,6 @@
 #include "geom/vec2.h"
 #include "graph/geometric_graph.h"
 #include "service/update_queue.h"
-#include "verify/audit.h"
 
 namespace geospanner::service {
 
@@ -117,14 +116,9 @@ struct ServiceOptions {
     /// > 0 runs each apply on a disposable applier thread with this
     /// deadline; a wedged apply degrades to rebuild-from-last-good.
     double watchdog_ms = 0.0;
-    /// > 0 runs verify::audit_backbone after every Nth applied batch
-    /// and quarantines the batch when the audit fails.
-    std::size_t audit_every = 0;
-    verify::AuditOptions audit_options;
-    /// Custom post-apply gate (overrides the audit; runs every batch
-    /// unless audit_every sets a cadence): return "" for healthy, a
-    /// reason string to quarantine. Called on the ingest worker with
-    /// the just-applied topology, before it is published.
+    /// Post-apply gate, run on every applied batch: return "" for
+    /// healthy, a reason string to quarantine. Called on the ingest
+    /// worker with the just-applied topology, before it is published.
     std::function<std::string(const Snapshot&)> post_apply_check;
     /// Test seam: runs in the applying context just before each apply
     /// (e.g. to wedge it for watchdog tests).
@@ -227,8 +221,6 @@ class SpannerService {
     /// spanner_ was orphaned (caller must rebuild).
     bool apply_with_watchdog(const dynamic::UpdateBatch& batch,
                              dynamic::PatchStats& out);
-    /// "" = healthy; otherwise the quarantine reason.
-    [[nodiscard]] std::string run_gate(const SnapshotHandle& candidate);
     /// Appends a report; caller holds publish_mutex_.
     void record_quarantine(std::string reason, const dynamic::UpdateBatch& batch,
                            bool rolled_back);
@@ -236,7 +228,6 @@ class SpannerService {
     engine::SpannerEngine* engine_;
     ServiceOptions options_;
     double radius_ = 0.0;
-    bool gate_configured_ = false;
     bool track_last_good_ = false;
     UpdateQueue<Ingest> queue_;
     std::thread worker_;
@@ -244,7 +235,6 @@ class SpannerService {
     /// Worker-only state (and the constructor's, before the worker
     /// starts): the maintained spanner and the rollback bookkeeping.
     std::unique_ptr<dynamic::DynamicSpanner> spanner_;
-    std::uint64_t gate_counter_ = 0;
     std::vector<geom::Point> last_good_points_;  ///< rollback target
 
     /// Guards published_, quarantine_reports_ and the counters below.

@@ -61,12 +61,13 @@ int main() {
     io::Table table({"backbone", "size avg", "edges avg", "1-failure survival %",
                      "cut vertices avg"});
     struct SchemeStats {
-        const char* name;
+        const char* name = "";
         bench::MaxAvg size, edges, survival, cuts;
     };
-    std::array<SchemeStats, 3> schemes{{{"elected (Algorithm 1)"},
-                                        {"Alzoubi single-path"},
-                                        {"pruned minimal"}}};
+    std::array<SchemeStats, 3> schemes;
+    schemes[0].name = "elected (Algorithm 1)";
+    schemes[1].name = "Alzoubi single-path";
+    schemes[2].name = "pruned minimal";
 
     for (std::size_t trial = 0; trial < trials; ++trial) {
         const auto instance = bench::make_instance(n, side, radius, 3000 + trial,

@@ -76,7 +76,9 @@ int main() {
         const auto points = deployment(n, 2002 + n);
         double base_ms = 0.0;
         for (const std::size_t threads : thread_counts) {
-            engine::SpannerEngine eng({.threads = threads});
+            engine::EngineOptions options;
+            options.threads = threads;
+            engine::SpannerEngine eng(options);
             engine::BuildResult result;
             geom::reset_predicate_counters();
             const double ms = run_ms([&] { result = eng.build(points, 1.0); });
@@ -136,7 +138,9 @@ int main() {
     }
     io::Table batch({"instances", "n", "threads", "wall_ms", "inst_per_s"});
     for (const std::size_t threads : thread_counts) {
-        engine::SpannerEngine eng({.threads = threads});
+        engine::EngineOptions options;
+        options.threads = threads;
+        engine::SpannerEngine eng(options);
         std::vector<engine::BatchResult> results;
         const double ms = run_ms([&] { results = engine::build_batch(eng, configs); });
         std::size_t built = 0;

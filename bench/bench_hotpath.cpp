@@ -9,9 +9,13 @@
 //    counters (the exact-fallback share is the robustness tax);
 //  * Bowyer–Watson — workspace-reusing Delaunay insertion rate on
 //    Morton-ordered inserts (points/s);
-//  * local Delaunay — one node's local_triangles_at over d = 8..128
-//    neighbors, the paper's O(d log d) per-node computation (ns per
-//    call and per d·log2 d, which stays flat if the claim holds).
+//  * local Delaunay — one node's local_triangles_at (the gift-wrap walk
+//    of its Delaunay star) over d = 8..128 neighbors, next to a whole
+//    Bowyer–Watson triangulation of the same neighborhood. The walk
+//    costs O(d·k) predicates for star size k: ns per d·k stays flat if
+//    that holds, and BW's ns per d·log2 d is its own yardstick. One
+//    more row puts u on an exactly cocircular ring, where k = d and
+//    every in-circle test is an exact tie: the O(d²) worst case.
 //
 // One JSON object per kernel is appended to $GS_BENCH_JSON (default
 // BENCH_hotpath.json). GS_BENCH_TRIALS controls repetitions (best-of);
@@ -164,7 +168,56 @@ int main() {
         sink.emit(obj);
     }
 
-    // ---- Local Delaunay per node vs neighborhood size d. ----
+    // ---- Local Delaunay per node: star walk vs Bowyer–Watson. ----
+    // Times both kernels on node u of `pts`, every other point of which
+    // is u's neighbor at `radius`, and emits one row.
+    const auto local_delaunay_row = [&](const char* shape, const std::vector<geom::Point>& pts,
+                                        graph::NodeId u, double radius) {
+        const std::size_t d = pts.size() - 1;
+        const auto udg = proximity::build_udg(pts, radius);
+        // Star size k: u's Delaunay triangles before the far-side edge
+        // filter, i.e. in the complete graph on the same points.
+        const std::size_t k =
+            proximity::local_triangles_at(proximity::build_udg(pts, 2.0 * radius), u).size();
+        proximity::LocalDelaunayScratch scratch;
+        std::vector<proximity::TriangleKey> tris;
+        delaunay::Workspace ws;
+        std::vector<delaunay::Triangle> bw_tris;
+        const std::size_t calls = std::max<std::size_t>(200'000 / (d + d * k / 8), 50);
+        const double ms = best_of(trials, [&] {
+            for (std::size_t i = 0; i < calls; ++i) {
+                proximity::local_triangles_at(udg, u, scratch, tris);
+            }
+        });
+        const double bw_ms = best_of(trials, [&] {
+            for (std::size_t i = 0; i < calls; ++i) {
+                bw_tris.clear();
+                delaunay::triangulate(pts, ws, bw_tris);
+            }
+        });
+        const double ns = 1e6 * ms / static_cast<double>(calls);
+        const double bw_ns = 1e6 * bw_ms / static_cast<double>(calls);
+        const double dd = static_cast<double>(d);
+        const double per_dk = ns / (dd * static_cast<double>(std::max<std::size_t>(k, 1)));
+        const double bw_per_dlogd = bw_ns / (dd * std::log2(dd));
+        std::cout << "local delaunay " << shape << " d=" << d << " k=" << k << "  star " << ns
+                  << " ns/call (" << per_dk << " ns per d·k), bowyer-watson " << bw_ns
+                  << " ns/call (" << bw_per_dlogd << " ns per d·log2 d), " << tris.size()
+                  << " triangles\n";
+        auto obj = sink.row();
+        obj.add("kernel", "local_delaunay")
+            .add("shape", shape)
+            .add("d", d)
+            .add("k", k)
+            .add("calls", calls)
+            .add("ns_per_call", ns)
+            .add("ns_per_dk", per_dk)
+            .add("bw_ns_per_call", bw_ns)
+            .add("bw_ns_per_dlogd", bw_per_dlogd)
+            .add("speedup", ns > 0.0 ? bw_ns / ns : 0.0)
+            .add("triangles", tris.size());
+        sink.emit(obj);
+    };
     for (std::size_t d = 8; d <= 128; d *= 2) {
         // Node 0 at the origin with d neighbors drawn inside the unit disk.
         rnd::Xoshiro256 rng(4);
@@ -173,28 +226,29 @@ int main() {
             const geom::Point p{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
             if (geom::squared_norm(p) <= 1.0) pts.push_back(p);
         }
-        const auto udg = proximity::build_udg(pts, 1.0);
-        proximity::LocalDelaunayScratch scratch;
-        std::vector<proximity::TriangleKey> tris;
-        const std::size_t calls = 200'000 / d;
-        const double ms = best_of(trials, [&] {
-            for (std::size_t i = 0; i < calls; ++i) {
-                proximity::local_triangles_at(udg, 0, scratch, tris);
-            }
+        local_delaunay_row("disk", pts, 0, 1.0);
+    }
+    {
+        // 129 of the 324 integer points on x² + y² = 32045² (32045 =
+        // 5·13·17·29), evenly spaced by angle: exact doubles, exactly
+        // cocircular, so every in-circle test ties. u takes the largest
+        // id, which the tie rule lifts least: u's star is then the fan to
+        // all d = 128 others.
+        constexpr long long kR = 32045;
+        std::vector<geom::Point> ring;
+        for (long long x = -kR; x <= kR; ++x) {
+            const long long y2 = kR * kR - x * x;
+            const auto y = std::llround(std::sqrt(static_cast<double>(y2)));
+            if (y * y != y2) continue;
+            ring.push_back({static_cast<double>(x), static_cast<double>(y)});
+            if (y != 0) ring.push_back({static_cast<double>(x), static_cast<double>(-y)});
+        }
+        std::ranges::sort(ring, [](geom::Point a, geom::Point b) {
+            return std::atan2(a.y, a.x) < std::atan2(b.y, b.x);
         });
-        const double ns = 1e6 * ms / static_cast<double>(calls);
-        const double per_dlogd =
-            ns / (static_cast<double>(d) * std::log2(static_cast<double>(d)));
-        std::cout << "local delaunay d=" << d << "  " << ns << " ns/call, " << per_dlogd
-                  << " ns per d·log2 d (" << tris.size() << " triangles)\n";
-        auto obj = sink.row();
-        obj.add("kernel", "local_delaunay")
-            .add("d", d)
-            .add("calls", calls)
-            .add("ns_per_call", ns)
-            .add("ns_per_dlogd", per_dlogd)
-            .add("triangles", tris.size());
-        sink.emit(obj);
+        std::vector<geom::Point> pts;
+        for (std::size_t i = 0; i < 129; ++i) pts.push_back(ring[i * ring.size() / 129]);
+        local_delaunay_row("cocircular_ring", pts, 128, 2.0 * kR);
     }
 
     std::cout << "\nJSON appended to " << sink.path() << '\n';

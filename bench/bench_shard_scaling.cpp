@@ -78,7 +78,9 @@ int main() {
         std::map<std::size_t, double> mono_ms;
         std::size_t mono_edges = 0, mono_backbone = 0;
         for (const std::size_t threads : thread_counts) {
-            engine::SpannerEngine eng({.threads = threads});
+            engine::EngineOptions options;
+            options.threads = threads;
+            engine::SpannerEngine eng(options);
             engine::BuildResult result;
             const double ms = run_ms([&] { result = eng.build(points, 1.0); });
             mono_ms[threads] = ms;

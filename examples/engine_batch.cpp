@@ -28,7 +28,9 @@ int main(int argc, char** argv) {
         return 1;
     }
 
-    engine::SpannerEngine eng({.threads = threads});
+    engine::EngineOptions options;
+    options.threads = threads;
+    engine::SpannerEngine eng(options);
     std::cout << "engine batch: " << instances << " instances of n=" << n << " on "
               << eng.thread_count() << " threads\n\n";
 

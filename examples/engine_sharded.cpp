@@ -55,7 +55,9 @@ int main(int argc, char** argv) {
     }
     std::cout << per_tile.str() << '\n';
 
-    engine::SpannerEngine mono({.threads = threads});
+    engine::EngineOptions mono_options;
+    mono_options.threads = threads;
+    engine::SpannerEngine mono(mono_options);
     const engine::BuildResult reference = mono.build(points, radius);
     const bool identical =
         result.udg == reference.udg &&

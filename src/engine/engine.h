@@ -1,11 +1,13 @@
 // Batched, multi-threaded spanner-construction pipeline.
 //
 // The paper's construction is node-local at every step — O(1) messages
-// and O(d log d) computation per node — so the engine parallelizes the
-// per-node work inside each stage: grid-cell UDG edge generation, the
-// per-node dominator lists, per-pair connector elections, per-node 1-hop
-// local Delaunay computation, the Algorithm-3 pair scan over blocks of
-// grid cells, and the per-node Gabriel test of the assembled graph.
+// per node, and per-node computation that here is one walk of the
+// node's local Delaunay star, O(d·k) predicates for degree d and star
+// size k — so the engine parallelizes the per-node work inside each
+// stage: grid-cell UDG edge generation, the per-node dominator lists,
+// per-pair connector elections, the per-node 1-hop local Delaunay
+// stars, the Algorithm-3 pair scan over blocks of grid cells, and the
+// per-node Gabriel test of the assembled graph.
 //
 // Determinism contract: for any thread count, the engine produces
 // edge-for-edge identical output to the sequential centralized path

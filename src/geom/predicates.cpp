@@ -210,6 +210,19 @@ int incircle_ccw(Point a, Point b, Point c, Point d) {
     return incircle_sign_exact(a, b, c, d);
 }
 
+int incircle_ccw_sos(Point a, Point b, Point c, Point d, std::uint64_t ka, std::uint64_t kb,
+                     std::uint64_t kc, std::uint64_t kd) {
+    const int sign = incircle_ccw(a, b, c, d);
+    if (sign != 0) return sign;
+    // On a circle, any three of four distinct points are non-collinear,
+    // so the deciding cofactor is never 0.
+    const std::uint64_t least = std::min({ka, kb, kc, kd});
+    if (least == ka) return orient_sign(b, c, d);
+    if (least == kb) return -orient_sign(a, c, d);
+    if (least == kc) return orient_sign(a, b, d);
+    return -1;
+}
+
 int in_circumcircle(Point a, Point b, Point c, Point d) {
     const int o = orient_sign(a, b, c);
     if (o == 0) return -1;  // Degenerate "circle" (a line) contains nothing.

@@ -85,6 +85,19 @@ enum class Orientation : int {
 /// (the "circle" is a line; nothing is inside). Exact.
 [[nodiscard]] int in_circumcircle(Point a, Point b, Point c, Point d);
 
+/// incircle_ccw with exact ties broken by symbolic perturbation: each
+/// point's lifted coordinate x² + y² is raised by an infinitesimal that is
+/// larger the smaller the point's key, so on a tie the least key of the
+/// four decides. The sign is then that point's cofactor in the lifted 4x4
+/// determinant: ± orient_sign of the other three, and -1 (d moves
+/// outside) when d holds the least key. It is the sign of one perturbed
+/// determinant, so every caller that tests the same cocircular quadruple,
+/// in whatever role, resolves it the same way. Never 0 for pairwise
+/// distinct points with distinct keys. Exact. Precondition:
+/// orient(a,b,c) == kCounterClockwise.
+[[nodiscard]] int incircle_ccw_sos(Point a, Point b, Point c, Point d, std::uint64_t ka,
+                                   std::uint64_t kb, std::uint64_t kc, std::uint64_t kd);
+
 /// +1 iff p is strictly inside the circle with diameter (u, v), 0 on it,
 /// -1 outside; i.e. the sign of -dot(u-p, v-p). Exact. This is the Gabriel
 /// graph emptiness test.

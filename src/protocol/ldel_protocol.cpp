@@ -44,8 +44,11 @@ LDelState run_ldel(Net& net, const GeometricGraph& g, bool announce_positions) {
     // --- Algorithm 2, steps 2-4: local Delaunay + proposals. ---
     std::vector<std::set<TriangleKey>> local(n);
     std::vector<std::set<TriangleKey>> proposed(n);  // by this node
+    proximity::LocalDelaunayScratch scratch;
+    std::vector<TriangleKey> star;
     for (NodeId u = 0; u < n; ++u) {
-        for (const TriangleKey& t : proximity::local_triangles_at(g, u)) {
+        proximity::local_triangles_at(g, u, scratch, star);
+        for (const TriangleKey& t : star) {
             local[u].insert(t);
             const auto [v, w] = others(t, u);
             if (geom::angle_at(g.point(u), g.point(v), g.point(w)) >= min_angle) {

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "delaunay/delaunay.h"
 #include "geom/predicates.h"
 #include "proximity/classic.h"
 
@@ -114,35 +113,97 @@ void local_triangles_at(const GeometricGraph& udg, NodeId u,
     out.clear();
     const auto nbrs = udg.neighbors(u);
     if (nbrs.size() < 2) return;
+    const Point pu = udg.point(u);
 
-    // Local point set: u first, then its neighbors. Duplicate-coordinate
-    // neighbors dedup onto local index 0, so "incident to u" is exactly
-    // "contains local index 0".
-    scratch.pts.clear();
-    scratch.ids.clear();
-    scratch.tris.clear();
-    scratch.pts.push_back(udg.point(u));
-    scratch.ids.push_back(u);
-    for (const NodeId v : nbrs) {
-        scratch.pts.push_back(udg.point(v));
-        scratch.ids.push_back(v);
+    // Candidates: u's distinct neighbors. Sorted by (point, id), each run
+    // of coincident neighbors starts with its least id — the first in
+    // adjacency order — which stands for the run; neighbors on u go.
+    auto& ids = scratch.ids;
+    auto& pts = scratch.pts;
+    ids.assign(nbrs.begin(), nbrs.end());
+    std::sort(ids.begin(), ids.end(), [&](NodeId a, NodeId b) {
+        const Point pa = udg.point(a);
+        const Point pb = udg.point(b);
+        if (pa.x != pb.x) return pa.x < pb.x;
+        if (pa.y != pb.y) return pa.y < pb.y;
+        return a < b;
+    });
+    pts.clear();
+    std::size_t k = 0;
+    for (const NodeId v : ids) {
+        const Point p = udg.point(v);
+        if (p == pu || (k > 0 && p == pts[k - 1])) continue;
+        ids[k++] = v;
+        pts.push_back(p);
+    }
+    ids.resize(k);
+    if (k < 2) return;
+
+    // Start edge: u's nearest neighbor, made exact. While some candidate
+    // lies in or on the diametral circle of (u, s0) it is strictly closer
+    // to u, so it takes over and the loop ends; the closed diametral
+    // circle is then empty, and (u, s0) is a Delaunay edge under any
+    // perturbation.
+    std::size_t s0 = 0;
+    double nearest = geom::squared_norm(pts[0] - pu);
+    for (std::size_t i = 1; i < k; ++i) {
+        const double d2 = geom::squared_norm(pts[i] - pu);
+        if (d2 < nearest) {
+            nearest = d2;
+            s0 = i;
+        }
+    }
+    for (bool moved = true; moved;) {
+        moved = false;
+        for (std::size_t i = 0; i < k; ++i) {
+            if (i != s0 && geom::in_diametral_circle(pu, pts[s0], pts[i]) >= 0) {
+                s0 = i;
+                moved = true;
+            }
+        }
     }
 
-    if (!delaunay::triangulate(scratch.pts, scratch.ws, scratch.tris)) return;
-    for (const auto& t : scratch.tris) {
-        if (t.a != 0 && t.b != 0 && t.c != 0) continue;  // Only triangles at u matter.
-        const NodeId x = scratch.ids[t.a];
-        const NodeId y = scratch.ids[t.b];
-        const NodeId z = scratch.ids[t.c];
-        // All sides at most one unit <=> all sides UDG edges; sides
-        // incident to u are UDG edges by construction.
-        const auto [p, q] = [&] {
-            if (x == u) return std::pair{y, z};
-            if (y == u) return std::pair{x, z};
-            return std::pair{x, y};
-        }();
-        if (!udg.has_edge(p, q)) continue;
-        out.push_back(make_triangle_key(x, y, z));
+    // One gift-wrap step from the star edge (u, v): the candidate strictly
+    // on the `side` (+1 left, -1 right) of u→v whose circle through u and
+    // v holds no other candidate there. Ties go by the perturbation keyed
+    // by global id; returns k when that side is empty.
+    const auto in_circle = [&](std::size_t b, std::size_t c, std::size_t p) {
+        // Precondition: (u, b, c) is counter-clockwise.
+        return geom::incircle_ccw_sos(pu, pts[b], pts[c], pts[p], u, ids[b], ids[c],
+                                      ids[p]) > 0;
+    };
+    const auto step = [&](std::size_t v, int side) {
+        std::size_t w = k;
+        for (std::size_t i = 0; i < k; ++i) {
+            if (geom::orient_sign(pu, pts[v], pts[i]) != side) continue;
+            if (w == k || (side > 0 ? in_circle(v, w, i) : in_circle(w, v, i))) w = i;
+        }
+        return w;
+    };
+    // Sides at u are graph edges by construction; the far side must be
+    // one too.
+    const auto emit = [&](std::size_t v, std::size_t w) {
+        if (udg.has_edge(ids[v], ids[w])) out.push_back(make_triangle_key(u, ids[v], ids[w]));
+    };
+
+    // Walk counter-clockwise from s0; if the fan does not close (u is on
+    // the hull of its neighborhood), walk clockwise from s0 as well. Each
+    // star triangle is met once; k steps bound either walk.
+    bool closed = false;
+    std::size_t v = s0;
+    for (std::size_t steps = 0; steps < k && !closed; ++steps) {
+        const std::size_t w = step(v, 1);
+        if (w == k) break;
+        emit(v, w);
+        closed = w == s0;
+        v = w;
+    }
+    v = s0;
+    for (std::size_t steps = 0; steps < k && !closed; ++steps) {
+        const std::size_t w = step(v, -1);
+        if (w == k) break;
+        emit(w, v);
+        v = w;
     }
     std::sort(out.begin(), out.end());
 }

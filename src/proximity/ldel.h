@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "delaunay/delaunay.h"
 #include "graph/geometric_graph.h"
 #include "proximity/cell_grid.h"
 
@@ -43,19 +42,25 @@ struct TriangleKey {
 /// Triangles incident to u in the Delaunay triangulation of N1(u) whose
 /// three sides are all UDG edges — what node u computes locally in
 /// Algorithm 2. Sorted canonical keys.
+///
+/// Only u's star is computed: a gift-wrap walk around u over its
+/// distinct neighbors, O(d·k) predicates for degree d and star size k.
+/// A neighbor exactly on u is dropped; of coincident neighbors the first
+/// in adjacency order (the least id) stands for them all. Exactly
+/// cocircular ties go through geom::incircle_ccw_sos keyed by global node
+/// id, so every corner of a cocircular quadruple resolves it the same
+/// way and the lists of different nodes stay consistent.
 [[nodiscard]] std::vector<TriangleKey> local_triangles_at(const graph::GeometricGraph& udg,
                                                           graph::NodeId u);
 
-/// Arena for repeated local_triangles_at calls: the per-node local
-/// Delaunay computation runs once per node per build, so its transient
-/// state (neighborhood point set, id map, the triangulation workspace)
-/// lives here and is reused call to call — zero steady-state heap
-/// traffic. One scratch per thread; results never depend on history.
+/// Arena for repeated local_triangles_at calls: the kernel runs once per
+/// node per build, so its candidate columns (the ids and points of u's
+/// distinct neighbors) live here and are reused call to call — zero
+/// steady-state heap traffic. One scratch per thread; results never
+/// depend on history.
 struct LocalDelaunayScratch {
-    delaunay::Workspace ws;
-    std::vector<geom::Point> pts;
     std::vector<graph::NodeId> ids;
-    std::vector<delaunay::Triangle> tris;
+    std::vector<geom::Point> pts;
 };
 
 /// Scratch-reusing form of local_triangles_at: replaces `out` with the
@@ -94,9 +99,9 @@ template <class Rows>
            std::ranges::binary_search(local[t.c], t);
 }
 
-/// All 1-localized Delaunay triangles of the UDG, sorted. Computed via
-/// per-node local Delaunay triangulations (the efficient O(d log d)-per-
-/// node formulation; equivalent to the circumcircle definition).
+/// All 1-localized Delaunay triangles of the UDG, sorted. Computed from
+/// the per-node local Delaunay stars (O(d·k) per node, so O(d) on the
+/// bounded-degree backbone; equivalent to the circumcircle definition).
 [[nodiscard]] std::vector<TriangleKey> ldel1_triangles(const graph::GeometricGraph& udg);
 
 /// Definitional O(d^4)-per-node computation of the same triangle set:

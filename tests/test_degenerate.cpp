@@ -6,7 +6,10 @@
 // here and in the fuzz driver's degenerate modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -80,6 +83,19 @@ TEST(Degenerate, SingleCocircularOctetAuditClean) {
         pts.push_back({100.0 + dx, 100.0 + dy});
     }
     expect_clean_audit(pts, 110.0);
+}
+
+TEST(Degenerate, ZeroJitterGridsAuditClean) {
+    // An unjittered 10x10 lattice: every square is an exactly cocircular
+    // quadruple, the tie the local Delaunay stars break by node id.
+    for (const double h : {0.3, 0.5, 0.7}) {
+        SCOPED_TRACE(::testing::Message() << "h=" << h);
+        std::vector<geom::Point> pts;
+        for (int i = 0; i < 10; ++i) {
+            for (int j = 0; j < 10; ++j) pts.push_back({h * i, h * j});
+        }
+        expect_clean_audit(pts, 1.0);
+    }
 }
 
 TEST(Degenerate, DuplicateCoordinatesAuditClean) {
@@ -288,6 +304,57 @@ TEST(PredicateFilter, NearCollinearPerturbationsAgreeWithExactTier) {
     EXPECT_EQ(geom::orient_sign(geom::Point{0.0, 0.0}, {3.0, 3.0}, {7.0, 7.0}), 0);
     const geom::PredicateCounters counters = geom::predicate_counters();
     EXPECT_GT(counters.orient_exact, 0u);
+}
+
+TEST(PredicateFilter, SosTieBreakIsTheLiftPerturbationsSign) {
+    // The twelve integer points on x² + y² = 25: every quadruple is an
+    // exact tie. Raising the lift x² + y² of the point whose key ranks r
+    // among the four by 2^-(10(r+1)) makes each tie a nonzero 4x4
+    // determinant whose sign
+    // the least-ranked point's term decides (cofactors are nonzero
+    // integers up to 100, so the later terms sum to under 2^-13). That
+    // sign must be incircle_ccw_sos's, whichever point is the query.
+    const std::vector<geom::Point> ring{{3, 4},  {4, 3},  {5, 0},   {4, -3},
+                                        {3, -4}, {0, -5}, {-3, -4}, {-4, -3},
+                                        {-5, 0}, {-4, 3}, {-3, 4},  {0, 5}};
+    const auto key = [](std::size_t i) { return static_cast<std::uint64_t>((7 * i + 5) % 12); };
+    const auto lifted_det = [&](std::array<std::size_t, 4> q) {
+        // Rows (x, y, x² + y² + δ, 1), expanded along the constant column.
+        std::array<std::array<long double, 3>, 4> m{};
+        for (std::size_t r = 0; r < 4; ++r) {
+            const geom::Point p = ring[q[r]];
+            const auto rank = std::ranges::count_if(
+                q, [&](std::size_t other) { return key(other) < key(q[r]); });
+            const long double delta = std::ldexp(1.0L, -10 * static_cast<int>(rank + 1));
+            m[r] = {p.x, p.y, p.x * p.x + p.y * p.y + delta};
+        }
+        const auto det3 = [&](std::size_t i, std::size_t j, std::size_t k) {
+            return m[i][0] * (m[j][1] * m[k][2] - m[j][2] * m[k][1]) -
+                   m[i][1] * (m[j][0] * m[k][2] - m[j][2] * m[k][0]) +
+                   m[i][2] * (m[j][0] * m[k][1] - m[j][1] * m[k][0]);
+        };
+        return -det3(1, 2, 3) + det3(0, 2, 3) - det3(0, 1, 3) + det3(0, 1, 2);
+    };
+    std::size_t checked = 0;
+    for (std::size_t a = 0; a < ring.size(); ++a) {
+        for (std::size_t b = a + 1; b < ring.size(); ++b) {
+            for (std::size_t c = b + 1; c < ring.size(); ++c) {
+                for (std::size_t d = 0; d < ring.size(); ++d) {
+                    if (d == a || d == b || d == c) continue;
+                    // Ring order is clockwise, so (a, c, b) is ccw.
+                    ASSERT_EQ(geom::orient_sign(ring[a], ring[c], ring[b]), 1);
+                    const long double det = lifted_det({a, c, b, d});
+                    ASSERT_NE(det, 0.0L);
+                    EXPECT_EQ(geom::incircle_ccw_sos(ring[a], ring[c], ring[b], ring[d],
+                                                     key(a), key(c), key(b), key(d)),
+                              det > 0 ? 1 : -1)
+                        << a << ' ' << c << ' ' << b << " query " << d;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, 220u * 9u);
 }
 
 TEST(PredicateFilter, HugeMagnitudeTiesForceExpansionFallback) {

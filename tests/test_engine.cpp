@@ -129,7 +129,9 @@ TEST_P(EngineDeterminism, MatchesSequentialPathAtEveryThreadCount) {
 
     PatchSeed seed_at_one_lane;
     for (const std::size_t threads : {1u, 2u, 8u}) {
-        SpannerEngine engine({.threads = threads});
+        EngineOptions options;
+        options.threads = threads;
+        SpannerEngine engine(options);
         core::PipelineStats stats;
         BuildResult result = engine.build(points, config.radius);
         EXPECT_EQ(result.udg, udg) << "threads=" << threads;
@@ -186,7 +188,10 @@ TEST(Engine, Ldel2PlanarizerMatchesSequentialPath) {
     const core::Backbone expected = core::build_backbone(
         udg, {core::Engine::kCentralized, protocol::ClusterPolicy::kLowestId,
               core::Planarizer::kLdel2});
-    SpannerEngine engine({.threads = 4, .planarizer = core::Planarizer::kLdel2});
+    EngineOptions options;
+    options.threads = 4;
+    options.planarizer = core::Planarizer::kLdel2;
+    SpannerEngine engine(options);
     expect_backbones_equal(expected, engine.build_backbone(udg));
 }
 
@@ -195,8 +200,10 @@ TEST(Engine, HighestDegreePolicyMatchesSequentialPath) {
     ASSERT_GT(udg.node_count(), 0u);
     const core::Backbone expected = core::build_backbone(
         udg, {core::Engine::kCentralized, protocol::ClusterPolicy::kHighestDegree});
-    SpannerEngine engine(
-        {.threads = 4, .cluster_policy = protocol::ClusterPolicy::kHighestDegree});
+    EngineOptions options;
+    options.threads = 4;
+    options.cluster_policy = protocol::ClusterPolicy::kHighestDegree;
+    SpannerEngine engine(options);
     expect_backbones_equal(expected, engine.build_backbone(udg));
 }
 
@@ -262,7 +269,9 @@ TEST(Engine, RecordsOneStatsEntryPerStage) {
     core::WorkloadConfig config;
     config.node_count = 80;
     config.seed = 3;
-    SpannerEngine engine({.threads = 2});
+    EngineOptions options;
+    options.threads = 2;
+    SpannerEngine engine(options);
     const BuildResult result =
         engine.build(core::uniform_points(config), config.radius);
 
@@ -297,7 +306,9 @@ TEST(Batch, MatchesStandaloneBuildsInInputOrder) {
         config.seed = seed;
         configs.push_back(config);
     }
-    SpannerEngine engine({.threads = 4});
+    EngineOptions options;
+    options.threads = 4;
+    SpannerEngine engine(options);
     const auto results = build_batch(engine, configs);
     ASSERT_EQ(results.size(), configs.size());
 
@@ -325,7 +336,9 @@ TEST(Batch, ExhaustedBudgetYieldsNullopt) {
     fine.radius = 55.0;
     fine.seed = 9;
 
-    SpannerEngine engine({.threads = 2});
+    EngineOptions options;
+    options.threads = 2;
+    SpannerEngine engine(options);
     const auto results = build_batch(engine, {hopeless, fine});
     ASSERT_EQ(results.size(), 2u);
     EXPECT_FALSE(results[0].udg.has_value());

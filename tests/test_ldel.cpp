@@ -5,11 +5,14 @@
 #include <algorithm>
 #include <gtest/gtest.h>
 
+#include "core/workload.h"
+#include "engine/engine.h"
 #include "graph/metrics.h"
 #include "graph/planarity.h"
 #include "graph/shortest_paths.h"
 #include "proximity/classic.h"
 #include "proximity/udg.h"
+#include "ldel_reference.h"
 #include "test_util.h"
 #include "verify/audit.h"
 
@@ -17,6 +20,7 @@ namespace geospanner::proximity {
 namespace {
 
 using graph::GeometricGraph;
+using graph::NodeId;
 
 TEST(TriangleKey, Canonicalization) {
     EXPECT_EQ(make_triangle_key(3, 1, 2), (TriangleKey{1, 2, 3}));
@@ -159,6 +163,126 @@ TEST(Ldel, PlanarizeHandlesCoordinatesFarBeyondTriangleExtents) {
     const auto kept =
         planarize_triangles(g, {kept_diagonal, make_triangle_key(0, 1, 3), far});
     EXPECT_EQ(kept, (std::vector<TriangleKey>{kept_diagonal, far}));
+}
+
+// ---- The star walk against its references --------------------------
+
+/// Asserts that every node's local_triangles_at list equals
+/// `reference(udg, u)`.
+template <typename Reference>
+void expect_stars_match(const GeometricGraph& udg, Reference&& reference) {
+    LocalDelaunayScratch scratch;
+    std::vector<TriangleKey> star;
+    for (NodeId u = 0; u < udg.node_count(); ++u) {
+        local_triangles_at(udg, u, scratch, star);
+        ASSERT_EQ(star, reference(udg, u)) << "node " << u;
+    }
+}
+
+core::WorkloadConfig star_config(std::uint64_t seed) {
+    core::WorkloadConfig config;
+    config.node_count = 150;
+    config.side = 200.0;
+    config.radius = 55.0;
+    config.seed = seed;
+    return config;
+}
+
+TEST(LocalStar, MatchesBowyerWatsonWithoutCocircularPoints) {
+    // No four points cocircular: the Delaunay triangulation of every
+    // neighborhood is unique, so the walk and the whole triangulation
+    // list the same triangles at every node, collinear rows included.
+    for (const test::FuzzMode mode : {test::FuzzMode::kUniform, test::FuzzMode::kClustered,
+                                      test::FuzzMode::kCollinear}) {
+        for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+            SCOPED_TRACE(::testing::Message() << test::fuzz_mode_name(mode) << " seed " << seed);
+            const auto config = star_config(seed);
+            expect_stars_match(build_udg(test::fuzz_points(mode, config), config.radius),
+                               test::bw_local_triangles_at);
+        }
+    }
+}
+
+TEST(LocalStar, MatchesBowyerWatsonOnDuplicateAndNearDuplicatePoints) {
+    // Every fourth point repeated verbatim, or nudged by 1e-9.
+    for (const double nudge : {0.0, 1e-9}) {
+        SCOPED_TRACE(::testing::Message() << "nudge " << nudge);
+        auto pts = test::random_points(60, 150.0, 53);
+        const std::size_t base = pts.size();
+        for (std::size_t i = 0; i < base; i += 4) pts.push_back({pts[i].x + nudge, pts[i].y});
+        expect_stars_match(build_udg(pts, 50.0), test::bw_local_triangles_at);
+    }
+}
+
+TEST(LocalStar, MatchesPerturbedDefinitionOnGridAndCocircularPoints) {
+    // Cocircular quadruples everywhere: the star is the one of the
+    // perturbation keyed by node id, checked against its O(d^3)
+    // definition.
+    for (const test::FuzzMode mode : {test::FuzzMode::kGrid, test::FuzzMode::kCocircular}) {
+        for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+            SCOPED_TRACE(::testing::Message() << test::fuzz_mode_name(mode) << " seed " << seed);
+            const auto config = star_config(seed);
+            expect_stars_match(build_udg(test::fuzz_points(mode, config), config.radius),
+                               test::perturbed_star_at);
+        }
+    }
+    core::WorkloadConfig lattice = star_config(5);
+    lattice.node_count = 144;
+    expect_stars_match(build_udg(core::grid_points(lattice, 0.0), lattice.radius),
+                       test::perturbed_star_at);
+}
+
+TEST(LocalStar, DropsNeighborsOnUAndKeepsTheFirstOfCoincidentNeighbors) {
+    // Node 4 sits on node 0 and node 3 on node 1. At node 0, node 4 is
+    // dropped and node 1 stands for node 3; at node 3, node 1 is dropped
+    // and node 0 stands for node 4. Changing these rules changes these
+    // lists.
+    const GeometricGraph udg = build_udg(
+        {{0.0, 0.0}, {0.4, 0.0}, {0.0, 0.4}, {0.4, 0.0}, {0.0, 0.0}, {-0.3, -0.3}}, 1.0);
+    EXPECT_EQ(local_triangles_at(udg, 0),
+              (std::vector<TriangleKey>{{0, 1, 2}, {0, 1, 5}, {0, 2, 5}}));
+    EXPECT_EQ(local_triangles_at(udg, 3),
+              (std::vector<TriangleKey>{{0, 2, 3}, {0, 3, 5}}));
+    expect_stars_match(udg, test::bw_local_triangles_at);
+}
+
+/// m x m lattice with spacing h and no jitter: every unit square's four
+/// corners are exactly cocircular.
+std::vector<geom::Point> lattice(std::size_t m, double h) {
+    std::vector<geom::Point> pts;
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < m; ++j) {
+            pts.push_back({h * static_cast<double>(i), h * static_cast<double>(j)});
+        }
+    }
+    return pts;
+}
+
+TEST(LocalStar, ZeroJitterGridsKeepOneDiagonalPerSquare) {
+    // Each square's diagonal is a cocircular tie. Broken the same way at
+    // all three corners of each triangle, LDel⁽¹⁾ keeps one triangulation
+    // of the lattice: 2(m-1)^2 triangles. A rule that depends on the
+    // corner (adjacency order, say) loses most of them.
+    for (const std::size_t m : {10UL, 40UL}) {
+        for (const double h : {0.3, 0.5, 0.7}) {
+            SCOPED_TRACE(::testing::Message() << "m=" << m << " h=" << h);
+            const auto pts = lattice(m, h);
+            EXPECT_EQ(ldel1_triangles(build_udg(pts, 1.0)).size(), 2 * (m - 1) * (m - 1));
+            // The engine's parallel ldel stage agrees at every lane count.
+            std::vector<TriangleKey> one_lane;
+            for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+                engine::EngineOptions options;
+                options.threads = threads;
+                const auto triangles =
+                    engine::SpannerEngine(options).build(pts, 1.0).backbone.ldel_triangles;
+                if (threads == 1) {
+                    one_lane = triangles;
+                } else {
+                    EXPECT_EQ(triangles, one_lane) << threads << " lanes";
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

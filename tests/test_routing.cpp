@@ -118,7 +118,7 @@ TEST(Face, UnreachableDestinationFailsCleanly) {
 TEST(Routing, SourceEqualsDestination) {
     const auto g = square_with_diagonal();
     const Router router(g);
-    for (const auto route : {router.greedy(2, 2), router.face(2, 2), router.gfg(2, 2),
+    for (const auto& route : {router.greedy(2, 2), router.face(2, 2), router.gfg(2, 2),
                              router.gpsr(2, 2), router.compass(2, 2)}) {
         EXPECT_TRUE(route.delivered);
         EXPECT_EQ(route.path, std::vector<NodeId>{2});

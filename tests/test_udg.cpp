@@ -95,7 +95,9 @@ TEST(CellGrid, BucketsEveryNodeOnceInAscendingOrder) {
             EXPECT_EQ(grid.slot_xs()[s], pts[v].x);
             EXPECT_EQ(grid.slot_ys()[s], pts[v].y);
             EXPECT_EQ(proximity::cell_of(pts[v], 7.0), cell);
-            if (s > begin) EXPECT_LT(grid.slot_ids()[s - 1], v);
+            if (s > begin) {
+                EXPECT_LT(grid.slot_ids()[s - 1], v);
+            }
         }
     }
     EXPECT_EQ(std::count(seen.begin(), seen.end(), 1),

@@ -82,7 +82,9 @@ class SpannerBackend {
 
     /// Builds the spanner over an existing UDG with the given
     /// transmission radius. Deterministic: same UDG + same options
-    /// (including seed) produce the same edge set.
+    /// (including seed) produce the same edge set. Throws
+    /// std::invalid_argument before any work when core::input_error
+    /// rejects the UDG's points or the radius.
     [[nodiscard]] virtual BackendResult build(const graph::GeometricGraph& udg,
                                               double radius) = 0;
 

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/input.h"
 #include "random/rng.h"
 
 namespace geospanner::backends {
@@ -49,7 +50,8 @@ verify::BackendClaims BaswanaSenBackend::claims() const {
     return claims;
 }
 
-BackendResult BaswanaSenBackend::build(const GeometricGraph& udg, double /*radius*/) {
+BackendResult BaswanaSenBackend::build(const GeometricGraph& udg, double radius) {
+    core::validate_input(udg.points(), radius);
     BackendResult result;
     result.spanner = GeometricGraph(udg.points());
     const auto n = static_cast<NodeId>(udg.node_count());

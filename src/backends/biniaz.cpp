@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/input.h"
 #include "geom/predicates.h"
 #include "proximity/classic.h"
 
@@ -110,6 +111,7 @@ verify::BackendClaims BiniazBackend::claims() const {
 }
 
 BackendResult BiniazBackend::build(const GeometricGraph& udg, double radius) {
+    core::validate_input(udg.points(), radius);
     BackendResult result;
     auto& stats = result.stats.stages;
 

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "core/input.h"
+
 namespace geospanner::backends {
 
 namespace {
@@ -27,7 +29,8 @@ verify::BackendClaims EngineBackend::claims() const {
     return claims;
 }
 
-BackendResult EngineBackend::build(const graph::GeometricGraph& udg, double /*radius*/) {
+BackendResult EngineBackend::build(const graph::GeometricGraph& udg, double radius) {
+    core::validate_input(udg.points(), radius);
     BackendResult result;
     backbone_ = engine_.build_backbone(udg, &result.stats);
     result.spanner = backbone_.ldel_icds_prime;

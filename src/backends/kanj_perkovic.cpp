@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/input.h"
 #include "graph/union_find.h"
 #include "proximity/classic.h"
 #include "proximity/ldel.h"
@@ -65,7 +66,8 @@ verify::BackendClaims KanjPerkovicBackend::claims() const {
     return claims;
 }
 
-BackendResult KanjPerkovicBackend::build(const GeometricGraph& udg, double /*radius*/) {
+BackendResult KanjPerkovicBackend::build(const GeometricGraph& udg, double radius) {
+    core::validate_input(udg.points(), radius);
     BackendResult result;
     auto& stats = result.stats.stages;
 

@@ -38,6 +38,18 @@ constexpr std::size_t kParallelThreshold = 64;
 /// distinct components disjoint; the rest is safety slack.
 constexpr std::size_t kComponentMergeHops = 12;
 
+/// Per-component rebuild gate: only a *single* dirty component whose
+/// 2-hop region exceeds this fraction of n forces the full-rebuild
+/// path. A batch of many small, far-apart updates stays localized even
+/// when the union of its regions is large, since disjoint components
+/// are patched independently.
+constexpr double kRebuildFraction = 0.25;
+
+/// Whole-batch gate: past this fraction of n in the union of all dirty
+/// regions (or in the cascade's role flips), even perfectly parallel
+/// localized patching loses to one parallel rebuild.
+constexpr double kTotalRebuildFraction = 0.5;
+
 /// body(i) for every i < count, on the pool from kParallelThreshold
 /// items up.
 void for_items(engine::ThreadPool& pool, std::size_t count,
@@ -294,8 +306,7 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
         throw std::invalid_argument(std::move(invalid));
     }
     PatchStats stats;
-    const engine::EngineOptions& opts = engine_->options();
-    if (opts.planarizer != core::Planarizer::kLdel1 || !batch.leaves.empty()) {
+    if (!batch.leaves.empty()) {
         apply_positions_only(batch);
         rebuild_from_scratch(stats);
         return stats;
@@ -313,7 +324,7 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     // Whole-batch gate: the dirty region every later stage works from
     // is bounded by the 2-hop closure (over old ∪ new adjacency) of the
     // nodes whose position or incident edge set changed. Past
-    // total_rebuild_fraction of n, even perfectly decomposed localized
+    // kTotalRebuildFraction of n, even perfectly decomposed localized
     // patching loses to one parallel rebuild (which depends only on
     // current positions, so bailing here — after stage_udg already
     // mutated state — is safe). Whether a *component* is too big is
@@ -322,10 +333,10 @@ PatchStats DynamicSpanner::apply(const UpdateBatch& batch) {
     seeds.insert(seeds.end(), ctx.adj_changed.begin(), ctx.adj_changed.end());
     seeds.insert(seeds.end(), ctx.joined.begin(), ctx.joined.end());
     sort_unique(seeds);
-    const std::size_t comp_cap = static_cast<std::size_t>(
-        opts.incremental_options.rebuild_fraction * static_cast<double>(n_after));
-    const std::size_t total_cap = static_cast<std::size_t>(
-        opts.incremental_options.total_rebuild_fraction * static_cast<double>(n_after));
+    const auto comp_cap =
+        static_cast<std::size_t>(kRebuildFraction * static_cast<double>(n_after));
+    const auto total_cap =
+        static_cast<std::size_t>(kTotalRebuildFraction * static_cast<double>(n_after));
     const auto region = expand_hops(ctx, seeds, 2);
     if (region.size() > total_cap) {
         rebuild_from_scratch(stats);
@@ -489,39 +500,27 @@ void DynamicSpanner::stage_udg(const UpdateBatch& batch, PatchContext& ctx) {
 // ---- Stage 1: clustering cascade + derived lists ---------------------
 
 bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
-    const auto policy = engine_->options().cluster_policy;
     auto& cluster = backbone_.cluster;
 
-    // Seeds: every node whose role-function inputs changed — its own
-    // neighbor set (adj_changed, joins), and under kHighestDegree the
-    // keys of its neighbors (degree changes propagate one hop).
-    std::priority_queue<protocol::ClusterKey, std::vector<protocol::ClusterKey>,
-                        std::greater<>>
-        worklist;
-    const auto key_of = [&](NodeId v) { return protocol::cluster_key(udg_, v, policy); };
-    const auto seed = [&](NodeId v) { worklist.push(key_of(v)); };
-    for (const NodeId v : ctx.adj_changed) seed(v);
-    for (const NodeId v : ctx.joined) seed(v);
-    if (policy == protocol::ClusterPolicy::kHighestDegree) {
-        for (const NodeId v : ctx.adj_changed) {
-            for (const NodeId u : udg_.neighbors(v)) seed(u);
-        }
-    }
+    // Seeds: every node whose neighbor set changed (adj_changed, joins).
+    // The min-heap keys by node id, the lowest-ID election order.
+    std::priority_queue<NodeId, std::vector<NodeId>, std::greater<>> worklist;
+    for (const NodeId v : ctx.adj_changed) worklist.push(v);
+    for (const NodeId v : ctx.joined) worklist.push(v);
 
-    // Greedy MIS in key order (== cluster_reference's synchronized
-    // rounds): v is a dominator iff no key-smaller neighbor is one.
+    // Greedy MIS in id order (== cluster_reference's synchronized
+    // rounds): v is a dominator iff no smaller-id neighbor is one.
     // Pops increase monotonically and a role change only re-enqueues
-    // key-larger neighbors, so every processed node sees the final
-    // roles of all key-smaller nodes — the defining property of the
+    // larger-id neighbors, so every processed node sees the final
+    // roles of all smaller-id nodes — the defining property of the
     // greedy order, which makes the localized cascade exact. It also
     // means each node is decided once: its copies pop together.
     while (!worklist.empty()) {
-        const protocol::ClusterKey key = worklist.top();
-        while (!worklist.empty() && worklist.top() == key) worklist.pop();
-        const NodeId v = key.id;
+        const NodeId v = worklist.top();
+        while (!worklist.empty() && worklist.top() == v) worklist.pop();
         bool dominated = false;
         for (const NodeId u : udg_.neighbors(v)) {
-            if (cluster.role[u] == Role::kDominator && key_of(u) < key) {
+            if (u < v && cluster.role[u] == Role::kDominator) {
                 dominated = true;
                 break;
             }
@@ -532,7 +531,7 @@ bool DynamicSpanner::run_cluster_cascade(PatchContext& ctx, std::size_t cap) {
         ctx.roles_changed.push_back(v);
         if (ctx.roles_changed.size() > cap) return false;
         for (const NodeId u : udg_.neighbors(v)) {
-            if (key_of(u) > key) worklist.push(key_of(u));
+            if (u > v) worklist.push(u);
         }
     }
     sort_unique(ctx.roles_changed);

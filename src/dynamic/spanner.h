@@ -46,11 +46,10 @@
 // the dominatee links.
 //
 // Fallback policy: the rebuild decision is per component. Only a batch
-// with a *single* component whose 2-hop dirty region exceeds
-// IncrementalOptions::rebuild_fraction of n (or whose union of regions
-// exceeds total_rebuild_fraction, or that contains leaves, whose
-// swap-remove id compaction perturbs the id-keyed elections globally)
-// falls back to a full rebuild from the current positions. Many small
+// with a *single* component whose 2-hop dirty region exceeds a quarter
+// of n (or whose union of regions exceeds half of n, or that contains
+// leaves, whose swap-remove id compaction perturbs the id-keyed
+// elections globally) falls back to a full rebuild from the current positions. Many small
 // far-apart updates therefore stay on the localized path even when
 // their merged dirty set spans the graph. The full rebuild is the
 // engine's staged build (the reference the patch path is held to), and
@@ -106,7 +105,7 @@ struct UpdateBatch {
 /// region alone exceeded the per-component rebuild gate.
 struct ComponentStats {
     std::size_t seed_count = 0;
-    bool over_cap = false;                 ///< region > rebuild_fraction * n
+    bool over_cap = false;                 ///< region > n / 4
     std::vector<graph::NodeId> region;     ///< sorted 2-hop dirty region
 };
 
@@ -133,12 +132,10 @@ struct PatchStats {
     core::PipelineStats pipeline;
 };
 
-/// A maintained (UDG, Backbone) pair under point updates. The engine
-/// reference supplies the ThreadPool for the bulk kernels and the
-/// options (cluster policy, rebuild gates).
-/// Incremental patching supports the paper's default kLdel1 planarizer;
-/// kLdel2 configurations take the full-rebuild path on every batch,
-/// which builds LDel⁽²⁾ as the engine does.
+/// A maintained (UDG, Backbone) pair under point updates, in the
+/// paper's configuration (lowest-ID clustering, LDel⁽¹⁾ + Algorithm 3)
+/// that the engine builds. The engine reference supplies the ThreadPool
+/// for the bulk kernels and the full rebuilds.
 class DynamicSpanner {
   public:
     /// Builds the initial state. Throws std::invalid_argument when
@@ -259,8 +256,8 @@ class DynamicSpanner {
     // Stage kernels. Each reads the dirty inputs from `ctx`, patches the
     // retained state, and records what it invalidated for the next
     // stage. The paper's rules come from the same functions the engine
-    // calls: protocol::cluster_key and derive_(two_hop_)dominators for
-    // the cascade, the protocol election kernel (collect_candidates,
+    // calls: protocol::derive_(two_hop_)dominators for the lowest-ID
+    // cascade, the protocol election kernel (collect_candidates,
     // elect_two_hop, elect_three_hop) for connector planning,
     // proximity::ldel1_member and alg3_removed_by for LDel⁽¹⁾ and
     // Algorithm 3, and proximity::is_gabriel_edge for the Gabriel patch.

@@ -14,7 +14,6 @@
 #include "proximity/cell_grid.h"
 #include "proximity/classic.h"
 #include "proximity/ldel.h"
-#include "proximity/ldel_k.h"
 
 namespace geospanner::engine {
 
@@ -347,14 +346,13 @@ void append_elected(bool three_hop, NodeId second, const protocol::PairElection&
     }
 }
 
-protocol::ClusterState cluster_staged(ThreadPool& pool, const GeometricGraph& udg,
-                                      protocol::ClusterPolicy policy) {
+protocol::ClusterState cluster_staged(ThreadPool& pool, const GeometricGraph& udg) {
     // The MIS rounds are serial (a few ms); the lists derived from the
     // roles are the stage's bulk, and node-local.
     const std::size_t lanes = stage_threads(pool);
     const std::size_t n = udg.node_count();
     protocol::ClusterState state;
-    state.role = protocol::elect_roles(udg, policy);
+    state.role = protocol::elect_roles(udg);
     const Rows<NodeId> dominators =
         parallel_rows<NodeId>(pool, lanes, n, [&](NodeId v, std::vector<NodeId>& row) {
             protocol::derive_dominators(udg, state.role, v, row);
@@ -405,7 +403,7 @@ core::Backbone build_backbone_staged(ThreadPool& pool, const GeometricGraph& udg
                                      verify::AuditTrail* trail, PatchSeed* seed) {
     core::validate_input(udg.points(), 0.0);
     const auto start = Clock::now();
-    protocol::ClusterState cluster = cluster_staged(pool, udg, options.cluster_policy);
+    protocol::ClusterState cluster = cluster_staged(pool, udg);
     push_stage(stats, "clustering", start, udg.node_count(), stage_threads(pool));
     if (options.audit && trail != nullptr) {
         trail->stages.push_back(
@@ -450,22 +448,16 @@ core::Backbone build_backbone_from_cluster(ThreadPool& pool, const GeometricGrap
                                                    result.icds, options.audit_options));
     }
 
-    if (options.planarizer == core::Planarizer::kLdel1) {
-        start = Clock::now();
-        std::vector<TriangleKey> triangles = parallel_ldel1_triangles(
-            pool, lanes, result.icds, seed == nullptr ? nullptr : &seed->local);
-        push_stage(stats, "ldel", start, result.backbone_size(), lanes);
+    start = Clock::now();
+    std::vector<TriangleKey> triangles = parallel_ldel1_triangles(
+        pool, lanes, result.icds, seed == nullptr ? nullptr : &seed->local);
+    push_stage(stats, "ldel", start, result.backbone_size(), lanes);
 
-        start = Clock::now();
-        const std::size_t triangle_count = triangles.size();
-        result.ldel_triangles =
-            parallel_planarize(pool, lanes, result.icds, std::move(triangles));
-        push_stage(stats, "planarize", start, triangle_count, lanes);
-    } else {
-        start = Clock::now();
-        result.ldel_triangles = proximity::ldel_k_triangles(result.icds, 2);
-        push_stage(stats, "ldel", start, result.backbone_size(), 1);
-    }
+    start = Clock::now();
+    const std::size_t triangle_count = triangles.size();
+    result.ldel_triangles =
+        parallel_planarize(pool, lanes, result.icds, std::move(triangles));
+    push_stage(stats, "planarize", start, triangle_count, lanes);
 
     start = Clock::now();
     result.ldel_icds = parallel_ldel_graph(pool, lanes, result.icds, result.ldel_triangles);

@@ -9,14 +9,20 @@
 // stars, the Algorithm-3 pair scan over blocks of grid cells, and the
 // per-node Gabriel test of the assembled graph.
 //
+// The engine builds the paper's configuration only: lowest-ID MIS
+// clustering, Algorithm 1 connectors, LDel⁽¹⁾ and Algorithm 3. The
+// variants the paper reviews (highest-degree clustering, LDel⁽²⁾) are
+// selectable in core::BuildOptions alone.
+//
 // Determinism contract: for any thread count, the engine produces
 // edge-for-edge identical output to the sequential centralized path
 // (`proximity::build_udg` + `core::build_backbone` with
-// Engine::kCentralized). Parallel loops write only block-owned slots and
-// results are merged in block order on the calling thread; nothing ever
-// depends on scheduling order. On one lane every stage is one block, so
-// it does exactly the serial path's work. tests/test_engine.cpp asserts the
-// equality across thread counts, seeds, and workload shapes.
+// Engine::kCentralized and default options). Parallel loops write only
+// block-owned slots and results are merged in block order on the
+// calling thread; nothing ever depends on scheduling order. On one lane
+// every stage is one block, so it does exactly the serial path's work.
+// tests/test_engine.cpp asserts the equality across thread counts,
+// seeds, and workload shapes.
 //
 // Each stage records wall time, items processed, and thread count into
 // a core::PipelineStats report.
@@ -37,28 +43,8 @@
 
 namespace geospanner::engine {
 
-/// Tunables of the incremental maintenance path (dynamic::DynamicSpanner).
-struct IncrementalOptions {
-    /// Per-component rebuild gate: an update batch is decomposed into
-    /// connected dirty components, and only a *single component* whose
-    /// dirty region exceeds this fraction of n forces the full-rebuild
-    /// path. A batch of many small, far-apart updates therefore stays on
-    /// the localized path even when the union of its dirty regions is
-    /// large — the union was never the right cost proxy, since disjoint
-    /// components are patched independently.
-    double rebuild_fraction = 0.25;
-    /// Whole-batch gate: when the union of all dirty regions (or the
-    /// cluster cascade's flip count) exceeds this fraction of n, the
-    /// batch takes the full-rebuild path regardless of how it splits
-    /// into components — past roughly half the graph, even perfectly
-    /// parallel localized patching loses to one parallel rebuild.
-    double total_rebuild_fraction = 0.5;
-};
-
 struct EngineOptions {
     std::size_t threads = 0;  ///< 0 → hardware concurrency
-    protocol::ClusterPolicy cluster_policy = protocol::ClusterPolicy::kLowestId;
-    core::Planarizer planarizer = core::Planarizer::kLdel1;
     /// Opt-in post-stage verification: after the clustering, connector,
     /// ICDS, and LDel stages the engine runs the matching verify::
     /// checkers and appends a StageAudit to the result's trail. Audits
@@ -66,8 +52,6 @@ struct EngineOptions {
     /// any thread count (test_engine.cpp pins this).
     bool audit = false;
     verify::AuditOptions audit_options;  ///< caps used when audit is on
-    /// Consumed by dynamic::DynamicSpanner; ignored by plain builds.
-    IncrementalOptions incremental_options;
 };
 
 /// One thing a connector election holds, in the row of its pair's first
@@ -117,8 +101,7 @@ struct PatchSeed {
     std::vector<int> connector_refs;         ///< per node: elections electing it
     graph::CowRows<EdgeCount> cds_refs;      ///< row u: CDS edges (u, v > u), ascending
     /// Per-node proximity::local_triangles_at lists over the ICDS, the
-    /// LDel⁽¹⁾ votes. No rows under Planarizer::kLdel2, which builds no
-    /// such lists.
+    /// LDel⁽¹⁾ votes.
     graph::CowRows<proximity::TriangleKey> local;
 
     friend bool operator==(const PatchSeed&, const PatchSeed&) = default;
@@ -144,12 +127,11 @@ struct BuildResult {
                                                      core::PipelineStats* stats = nullptr);
 
 /// Clustering stage on `pool`'s lanes: the MIS rounds (protocol::
-/// elect_roles) run serially, then the dominators_of and
+/// elect_roles, lowest-ID) run serially, then the dominators_of and
 /// two_hop_dominators_of rows are derived in parallel node blocks.
 /// Identical output to protocol::cluster_reference.
 [[nodiscard]] protocol::ClusterState cluster_staged(ThreadPool& pool,
-                                                    const graph::GeometricGraph& udg,
-                                                    protocol::ClusterPolicy policy);
+                                                    const graph::GeometricGraph& udg);
 
 /// Clustering → connectors → ICDS → LDel → planarize → assemble over an
 /// existing UDG, parallelizing the per-node work of each stage on
@@ -159,7 +141,7 @@ struct BuildResult {
 /// `options.audit` and `trail` are both set, runs the post-stage
 /// verify:: audits and appends their StageAudits to `trail`. When
 /// `seed` is set, also replaces it with the connector elections and
-/// (kLdel1) the per-node local triangle lists; the output is the same
+/// the per-node local triangle lists; the output is the same
 /// either way. Throws std::invalid_argument before any work when
 /// core::input_error rejects the UDG's points.
 [[nodiscard]] core::Backbone build_backbone_staged(ThreadPool& pool,

@@ -16,9 +16,12 @@ using exact::Expansion;
 
 // ---- Filter-tier counters --------------------------------------------
 //
-// One atomic block per thread (relaxed increments, no sharing on the
-// hot path), registered globally so predicate_counters() can sum the
-// fleet. A thread's tallies are folded into `retired` when it exits.
+// One block per thread, registered globally so predicate_counters() can
+// sum the fleet. Only the owning thread writes its block: an increment
+// is a relaxed load and store, no locked read-modify-write, while
+// readers on other threads load the slots atomically. A thread's
+// tallies are folded into `retired` when it exits, and a reset records
+// the aggregate as `baseline` rather than writing other threads' slots.
 
 enum CounterSlot : int {
     kOrientFast = 0,
@@ -30,12 +33,23 @@ enum CounterSlot : int {
     kSlotCount,
 };
 
+constexpr std::uint64_t PredicateCounters::*kFields[kSlotCount] = {
+    &PredicateCounters::orient_fast,    &PredicateCounters::orient_exact,
+    &PredicateCounters::incircle_fast,  &PredicateCounters::incircle_exact,
+    &PredicateCounters::diametral_fast, &PredicateCounters::diametral_exact,
+};
+
+void add(PredicateCounters& to, const PredicateCounters& c) noexcept {
+    for (const auto field : kFields) to.*field += c.*field;
+}
+
 struct TlsCounters;
 
 struct CounterRegistry {
     std::mutex mutex;
     std::vector<TlsCounters*> threads;
     PredicateCounters retired;
+    PredicateCounters baseline;
 };
 
 CounterRegistry& registry() {
@@ -54,32 +68,31 @@ struct alignas(64) TlsCounters {
 
     [[nodiscard]] PredicateCounters snapshot() const noexcept {
         PredicateCounters c;
-        c.orient_fast = slots[kOrientFast].load(std::memory_order_relaxed);
-        c.orient_exact = slots[kOrientExact].load(std::memory_order_relaxed);
-        c.incircle_fast = slots[kIncircleFast].load(std::memory_order_relaxed);
-        c.incircle_exact = slots[kIncircleExact].load(std::memory_order_relaxed);
-        c.diametral_fast = slots[kDiametralFast].load(std::memory_order_relaxed);
-        c.diametral_exact = slots[kDiametralExact].load(std::memory_order_relaxed);
+        for (int i = 0; i < kSlotCount; ++i) {
+            c.*kFields[i] = slots[i].load(std::memory_order_relaxed);
+        }
         return c;
     }
 
     ~TlsCounters() {
         CounterRegistry& r = registry();
         const std::lock_guard<std::mutex> lock(r.mutex);
-        const PredicateCounters c = snapshot();
-        r.retired.orient_fast += c.orient_fast;
-        r.retired.orient_exact += c.orient_exact;
-        r.retired.incircle_fast += c.incircle_fast;
-        r.retired.incircle_exact += c.incircle_exact;
-        r.retired.diametral_fast += c.diametral_fast;
-        r.retired.diametral_exact += c.diametral_exact;
+        add(r.retired, snapshot());
         std::erase(r.threads, this);
     }
 };
 
+/// Every count since start-up; monotone. Caller holds `r.mutex`.
+PredicateCounters aggregate(const CounterRegistry& r) noexcept {
+    PredicateCounters out = r.retired;
+    for (const TlsCounters* t : r.threads) add(out, t->snapshot());
+    return out;
+}
+
 inline void bump(CounterSlot slot) noexcept {
     thread_local TlsCounters counters;
-    counters.slots[slot].fetch_add(1, std::memory_order_relaxed);
+    std::atomic<std::uint64_t>& count = counters.slots[slot];
+    count.store(count.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
 // Filter constants from Shewchuk's "Adaptive Precision Floating-Point
@@ -340,26 +353,15 @@ bool segments_intersect(Point p1, Point p2, Point q1, Point q2) {
 PredicateCounters predicate_counters() {
     CounterRegistry& r = registry();
     const std::lock_guard<std::mutex> lock(r.mutex);
-    PredicateCounters out = r.retired;
-    for (const TlsCounters* t : r.threads) {
-        const PredicateCounters c = t->snapshot();
-        out.orient_fast += c.orient_fast;
-        out.orient_exact += c.orient_exact;
-        out.incircle_fast += c.incircle_fast;
-        out.incircle_exact += c.incircle_exact;
-        out.diametral_fast += c.diametral_fast;
-        out.diametral_exact += c.diametral_exact;
-    }
+    PredicateCounters out = aggregate(r);
+    for (const auto field : kFields) out.*field -= r.baseline.*field;
     return out;
 }
 
 void reset_predicate_counters() {
     CounterRegistry& r = registry();
     const std::lock_guard<std::mutex> lock(r.mutex);
-    r.retired = {};
-    for (TlsCounters* t : r.threads) {
-        for (auto& slot : t->slots) slot.store(0, std::memory_order_relaxed);
-    }
+    r.baseline = aggregate(r);
 }
 
 }  // namespace geospanner::geom

@@ -44,14 +44,17 @@ struct PredicateCounters {
 
 /// Counters aggregated over every thread that has evaluated predicates
 /// since the last reset (exited threads' tallies are retained). Each
-/// thread counts into its own cache line, so the hot path stays
-/// contention-free; this call walks the thread registry under a lock.
+/// thread counts into its own cache line with a plain relaxed load and
+/// store, so the hot path stays contention-free; this call walks the
+/// thread registry under a lock.
 [[nodiscard]] PredicateCounters predicate_counters();
 
-/// Zeroes the aggregate view. Counts a concurrently running thread adds
-/// during the reset may land on either side of it; callers measuring a
-/// workload should quiesce worker threads first (the engine's stages
-/// all join before returning).
+/// Zeroes the aggregate view by recording the current aggregate as the
+/// baseline predicate_counters() subtracts; no thread's counters are
+/// written. Counts a concurrently running thread adds during the reset
+/// may land on either side of it; callers measuring a workload should
+/// quiesce worker threads first (the engine's stages all join before
+/// returning).
 void reset_predicate_counters();
 
 /// The expansion-arithmetic tier on its own, exported so the degenerate

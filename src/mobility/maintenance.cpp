@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "graph/shortest_paths.h"
 #include "proximity/udg.h"
@@ -14,10 +15,14 @@ MaintainedBackbone::MaintainedBackbone(const std::vector<geom::Point>& points,
                                        double radius, core::BuildOptions options)
     : radius_(radius), options_(options) {
     if (options_.engine == core::Engine::kCentralized) {
-        engine::EngineOptions eopts;
-        eopts.cluster_policy = options_.cluster_policy;
-        eopts.planarizer = options_.planarizer;
-        engine_ = std::make_unique<engine::SpannerEngine>(eopts);
+        // The incremental path maintains the paper's configuration only.
+        if (options_.cluster_policy != protocol::ClusterPolicy::kLowestId ||
+            options_.planarizer != core::Planarizer::kLdel1) {
+            throw std::invalid_argument(
+                "MaintainedBackbone: kCentralized maintains only lowest-ID clustering "
+                "with LDel(1); use kDistributed for the variants");
+        }
+        engine_ = std::make_unique<engine::SpannerEngine>();
         dynamic_ = std::make_unique<dynamic::DynamicSpanner>(*engine_, points, radius_);
     } else {
         udg_ = proximity::build_udg(points, radius_);

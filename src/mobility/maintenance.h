@@ -11,7 +11,8 @@
 // Repair path: with the centralized engine, breakage is served by a
 // dynamic::DynamicSpanner patch — only the dirty region around the
 // nodes that moved out of range is recomputed (falling back to a full
-// rebuild when the region is too large). The distributed engine re-runs
+// rebuild when the region is too large), in the paper's configuration
+// only. The distributed engine re-runs
 // the full message-passing protocols, accounting the rebuild broadcasts.
 #pragma once
 
@@ -48,7 +49,10 @@ struct MaintenanceStats {
 class MaintainedBackbone {
   public:
     /// Builds the initial backbone from `points` (must form a connected
-    /// UDG at `radius`).
+    /// UDG at `radius`). Throws std::invalid_argument when
+    /// `options.engine` is kCentralized with a non-default cluster policy
+    /// or planarizer: the incremental path builds only the paper's
+    /// configuration, and kDistributed serves the variants.
     MaintainedBackbone(const std::vector<geom::Point>& points, double radius,
                        core::BuildOptions options = {});
 

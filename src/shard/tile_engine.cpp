@@ -120,13 +120,10 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
                                           double radius) {
     core::validate_input(points, radius);
     ShardBuildResult result;
-    engine::EngineOptions eopts;
-    eopts.cluster_policy = options_.cluster_policy;
-    eopts.planarizer = options_.planarizer;
-
     if (points.empty() || radius <= 0.0) {
         // Nothing to shard: no geometry to partition (and the monolithic
         // path is exact on these inputs by definition).
+        engine::EngineOptions eopts;
         eopts.audit = options_.audit;
         eopts.audit_options = options_.audit_options;
         result.udg = engine::build_udg_staged(pool_, std::move(points), radius,
@@ -180,8 +177,7 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
     // one global election is cheap next to the geometric stages it
     // unlocks for sharding.
     start = Clock::now();
-    protocol::ClusterState cluster =
-        engine::cluster_staged(pool_, result.udg, options_.cluster_policy);
+    protocol::ClusterState cluster = engine::cluster_staged(pool_, result.udg);
     push_stage(result.stats, "clustering", start, n, pool_.thread_count());
     if (options_.audit) {
         result.audit.stages.push_back(
@@ -214,12 +210,9 @@ ShardBuildResult TileShardedEngine::build(std::vector<geom::Point> points,
         const GeometricGraph local_udg =
             GeometricGraph::from_edges(std::move(local_points), local_edges);
 
-        engine::EngineOptions tile_opts;
-        tile_opts.cluster_policy = options_.cluster_policy;
-        tile_opts.planarizer = options_.planarizer;
         const core::Backbone local = engine::build_backbone_from_cluster(
-            pool_, local_udg, restrict_cluster(cluster, region), tile_opts,
-            &out.stats.stats, nullptr);
+            pool_, local_udg, restrict_cluster(cluster, region), {}, &out.stats.stats,
+            nullptr);
 
         const auto tile_id = static_cast<std::uint32_t>(t);
         out.cds = owned_edges(local.cds, region, plan.tile_of, tile_id);

@@ -63,8 +63,6 @@ struct ShardOptions {
     /// is a tunable, not a guess — verify::audit_shards plus the
     /// equivalence suite will catch a halo set too thin.
     std::size_t halo_hops = 10;
-    protocol::ClusterPolicy cluster_policy = protocol::ClusterPolicy::kLowestId;
-    core::Planarizer planarizer = core::Planarizer::kLdel1;
     /// Opt-in verification: runs the monolithic per-stage audits on the
     /// MERGED structures plus verify::audit_shards on the tile layout.
     bool audit = false;

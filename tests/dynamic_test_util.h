@@ -13,20 +13,14 @@
 
 namespace geospanner::test {
 
-inline engine::EngineOptions dynamic_engine_options(protocol::ClusterPolicy policy,
-                                                    std::size_t threads = 2) {
+inline engine::EngineOptions dynamic_engine_options(std::size_t threads = 2) {
     engine::EngineOptions opts;
     opts.threads = threads;
-    opts.cluster_policy = policy;
     return opts;
 }
 
-inline core::Backbone reference_backbone(const graph::GeometricGraph& udg,
-                                         protocol::ClusterPolicy policy) {
-    core::BuildOptions opts;
-    opts.engine = core::Engine::kCentralized;
-    opts.cluster_policy = policy;
-    return core::build_backbone(udg, opts);
+inline core::Backbone reference_backbone(const graph::GeometricGraph& udg) {
+    return core::build_backbone(udg, {core::Engine::kCentralized});
 }
 
 /// Component-wise comparison so a divergence names the structure.
@@ -54,19 +48,16 @@ inline std::string backbone_diff(const core::Backbone& got, const core::Backbone
 /// otherwise the name of the first diverging structure.
 inline std::string state_divergence(const std::vector<geom::Point>& points,
                                     double radius, const graph::GeometricGraph& udg,
-                                    const core::Backbone& backbone,
-                                    protocol::ClusterPolicy policy) {
+                                    const core::Backbone& backbone) {
     const graph::GeometricGraph want = proximity::build_udg(points, radius);
     if (!(want == udg)) return "udg";
-    return backbone_diff(backbone, reference_backbone(want, policy));
+    return backbone_diff(backbone, reference_backbone(want));
 }
 
 /// "" when the patched state equals a from-scratch build on the same
 /// positions; otherwise the name of the first diverging structure.
-inline std::string divergence(const dynamic::DynamicSpanner& dyn,
-                              protocol::ClusterPolicy policy) {
-    return state_divergence(dyn.positions(), dyn.radius(), dyn.udg(), dyn.backbone(),
-                            policy);
+inline std::string divergence(const dynamic::DynamicSpanner& dyn) {
+    return state_divergence(dyn.positions(), dyn.radius(), dyn.udg(), dyn.backbone());
 }
 
 }  // namespace geospanner::test

@@ -322,8 +322,7 @@ std::vector<std::vector<std::size_t>> make_splits(std::size_t len, std::uint64_t
 std::string schedule_divergence(const std::vector<geom::Point>& initial, double radius,
                                 const std::vector<ScheduledMove>& schedule,
                                 const std::vector<std::size_t>& split) {
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(protocol::ClusterPolicy::kLowestId));
+    engine::SpannerEngine engine(test::dynamic_engine_options());
     dynamic::DynamicSpanner dyn(engine, initial, radius);
     std::size_t next = 0;
     for (const std::size_t size : split) {
@@ -333,7 +332,7 @@ std::string schedule_divergence(const std::vector<geom::Point>& initial, double 
         }
         dyn.apply(batch);
     }
-    return test::divergence(dyn, protocol::ClusterPolicy::kLowestId);
+    return test::divergence(dyn);
 }
 
 TEST(FuzzSpanner, UpdateScheduleBatchSplitsConverge) {
@@ -396,15 +395,14 @@ TEST(FuzzSpanner, UpdateScheduleBatchSplitsConverge) {
 /// healer skips events staled by the omissions.
 std::string chaos_divergence(const fault::ChaosSchedule& schedule,
                              const std::vector<fault::ChaosEvent>& events) {
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(protocol::ClusterPolicy::kLowestId));
+    engine::SpannerEngine engine(test::dynamic_engine_options());
     dynamic::DynamicSpanner dyn(engine, schedule.initial, schedule.radius);
     fault::SelfHealer healer(schedule);
     for (const auto& translated : healer.translate(events)) {
         dyn.apply(translated.batch);
     }
     if (dyn.positions() != healer.world().points) return "healer-mirror";
-    return test::divergence(dyn, protocol::ClusterPolicy::kLowestId);
+    return test::divergence(dyn);
 }
 
 TEST(FuzzSpanner, ChaosSchedulesConvergeWithShrinkableRepros) {

@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -211,6 +213,21 @@ TEST(BackendBuild, EmptyAndSingletonInputs) {
         const BackendResult single = make_backend(name)->build(one, 1.0);
         EXPECT_EQ(single.spanner.node_count(), 1u) << name;
         EXPECT_EQ(single.spanner.edge_count(), 0u) << name;
+    }
+}
+
+TEST(BackendBuild, RejectsInvalidInput) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto udg = proximity::build_udg({{0.0, 0.0}, {0.5, 0.0}, {0.0, 0.5}}, 1.0);
+    const GeometricGraph non_finite(std::vector<geom::Point>{{0.0, 0.0}, {inf, 0.0}});
+    for (const auto& name : registered_backends()) {
+        const auto build = [&](const GeometricGraph& g, double radius) {
+            (void)make_backend(name)->build(g, radius);
+        };
+        EXPECT_THROW(build(udg, nan), std::invalid_argument) << name;
+        EXPECT_THROW(build(udg, -1.0), std::invalid_argument) << name;
+        EXPECT_THROW(build(non_finite, 1.0), std::invalid_argument) << name;
     }
 }
 

@@ -29,7 +29,6 @@ namespace geospanner::fault {
 namespace {
 
 using graph::NodeId;
-using protocol::ClusterPolicy;
 
 constexpr double kRadius = 55.0;
 constexpr double kSide = 220.0;
@@ -215,8 +214,7 @@ TEST(SelfHealer, ReplayConvergesToFromScratchBuildAndCompacts) {
     const ChaosSchedule schedule =
         generate_chaos(initial, kRadius, soak_config(chaos_steps(25)), 97);
 
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     dynamic::DynamicSpanner dyn(engine, schedule.initial, kRadius);
     SelfHealer healer(schedule);
 
@@ -226,7 +224,7 @@ TEST(SelfHealer, ReplayConvergesToFromScratchBuildAndCompacts) {
     // Healer mirror and maintained spanner agree position-for-position,
     // and the patched state equals a from-scratch build.
     ASSERT_EQ(dyn.positions(), healer.world().points);
-    std::string divergence = test::divergence(dyn, ClusterPolicy::kLowestId);
+    std::string divergence = test::divergence(dyn);
     if (!divergence.empty()) {
         ADD_FAILURE() << "post-chaos divergence: " << divergence << "; repro at "
                       << dump_schedule(schedule, "replay");
@@ -242,7 +240,7 @@ TEST(SelfHealer, ReplayConvergesToFromScratchBuildAndCompacts) {
     EXPECT_EQ(dyn.node_count(), live);
     EXPECT_EQ(dyn.positions(), healer.world().points);
     EXPECT_EQ(healer.dead_count(), 0u);
-    EXPECT_EQ(test::divergence(dyn, ClusterPolicy::kLowestId), "");
+    EXPECT_EQ(test::divergence(dyn), "");
 }
 
 // ---------------------------------------------------------------------------
@@ -261,8 +259,7 @@ TEST(ChaosReplay, SeededReplayThroughServiceIsBitIdentical) {
         service::ServiceStats stats;
     };
     const auto run_once = [&] {
-        engine::SpannerEngine engine(
-            test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+        engine::SpannerEngine engine(test::dynamic_engine_options(2));
         service::SpannerService svc(engine, schedule.initial, kRadius);
         SelfHealer healer(schedule);
         for (auto& translated : healer.translate(schedule.events)) {
@@ -296,8 +293,7 @@ TEST(ChaosSoak, SnapshotsStayConsistentUnderChaosStream) {
     const ChaosSchedule schedule =
         generate_chaos(initial, kRadius, soak_config(chaos_steps(25)), 555);
 
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     service::SpannerService svc(engine, schedule.initial, kRadius);
 
     std::atomic<bool> done{false};
@@ -335,8 +331,7 @@ TEST(ChaosSoak, SnapshotsStayConsistentUnderChaosStream) {
 
     const auto snap = svc.snapshot();
     const std::string divergence = test::state_divergence(
-        snap->points, snap->radius, snap->udg, snap->backbone,
-        ClusterPolicy::kLowestId);
+        snap->points, snap->radius, snap->udg, snap->backbone);
     if (!divergence.empty()) {
         ADD_FAILURE() << "post-soak divergence: " << divergence << "; repro at "
                       << dump_schedule(schedule, "soak");
@@ -353,8 +348,7 @@ TEST(ChaosSoak, SnapshotsStayConsistentUnderChaosStream) {
 TEST(HardenedService, AuditGateRollsBackFailedBatch) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 13);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
 
     // The gate flags exactly one (otherwise healthy) batch as corrupt —
     // a stand-in for an apply that silently broke an invariant.
@@ -389,7 +383,7 @@ TEST(HardenedService, AuditGateRollsBackFailedBatch) {
     // initial topology — batch 2 left no trace.
     const auto snap = svc.snapshot();
     EXPECT_EQ(test::state_divergence(snap->points, snap->radius, snap->udg,
-                                     snap->backbone, ClusterPolicy::kLowestId),
+                                     snap->backbone),
               "");
     rnd::Xoshiro256 replay(71);
     auto expected = udg.points();
@@ -404,8 +398,7 @@ TEST(HardenedService, AuditGateRollsBackFailedBatch) {
 TEST(HardenedService, WatchdogAbandonsWedgedApplyAndRecovers) {
     const auto udg = test::connected_udg(35, 180.0, kRadius, 17);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
 
     std::atomic<int> applies{0};
     std::atomic<bool> release{false};
@@ -445,7 +438,7 @@ TEST(HardenedService, WatchdogAbandonsWedgedApplyAndRecovers) {
     // visible effect is moves on nodes 0 and 1 only).
     const auto snap = svc.snapshot();
     EXPECT_EQ(test::state_divergence(snap->points, snap->radius, snap->udg,
-                                     snap->backbone, ClusterPolicy::kLowestId),
+                                     snap->backbone),
               "");
     EXPECT_EQ(snap->points[0], (geom::Point{5.0, 5.0}));
     EXPECT_EQ(snap->points[1], (geom::Point{7.0, 7.0}));
@@ -506,7 +499,7 @@ TEST(Degraded, CertificateStatesWhichLemmasSurvive) {
     model.alpha = 0.8;
     model.seed = 7;
     const auto quasi = build_quasi_udg(points, kRadius, model);
-    const auto backbone = test::reference_backbone(quasi, ClusterPolicy::kLowestId);
+    const auto backbone = test::reference_backbone(quasi);
 
     verify::DegradedConditions conditions;
     conditions.alpha = model.alpha;
@@ -531,7 +524,7 @@ TEST(Degraded, CertificateStatesWhichLemmasSurvive) {
 
     // At alpha = 1 over the exact UDG every lemma is claimed again.
     const auto udg = proximity::build_udg(points, kRadius);
-    const auto full = test::reference_backbone(udg, ClusterPolicy::kLowestId);
+    const auto full = test::reference_backbone(udg);
     const auto exact =
         verify::check_degraded_guarantees(udg, full, verify::DegradedConditions{});
     EXPECT_TRUE(exact.pass()) << exact.summary();
@@ -545,14 +538,13 @@ TEST(Degraded, CertificateCoversCrashedPopulations) {
     config.leave_rate = 0.0;  // Pure crash churn: survivors keep their ids.
     const ChaosSchedule schedule = generate_chaos(initial, kRadius, config, 61);
 
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     dynamic::DynamicSpanner dyn(engine, schedule.initial, kRadius);
     SelfHealer healer(schedule);
     for (const auto& translated : healer.translate(schedule.events)) {
         dyn.apply(translated.batch);
     }
-    ASSERT_EQ(test::divergence(dyn, ClusterPolicy::kLowestId), "");
+    ASSERT_EQ(test::divergence(dyn), "");
 
     verify::DegradedConditions conditions;
     conditions.crashed = healer.dead_count();

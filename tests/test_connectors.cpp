@@ -325,22 +325,26 @@ TEST(Connectors, SecondLegNodeLinksToEveryFirstLegWinnerItHears) {
     expect_engine_matches(g, cluster, conn);
 
     // DynamicSpanner: the initial build, then a patch that moves x away
-    // and one that moves it back (gates opened so both stay localized).
+    // and one that moves it back. Far, isolated filler nodes (ids after
+    // the layout's, each its own dominator) make the layout a small
+    // share of n, so both patches stay under the rebuild gates.
+    std::vector<geom::Point> padded = points;
+    for (int k = 0; k < 40; ++k) padded.push_back({100.0 + 3.0 * k, 100.0});
+    std::vector<bool> padded_connector = conn.is_connector;
+    padded_connector.resize(padded.size(), false);
     engine::EngineOptions opts;
     opts.threads = 2;
-    opts.incremental_options.rebuild_fraction = 1.0;
-    opts.incremental_options.total_rebuild_fraction = 1.0;
     engine::SpannerEngine engine(opts);
-    dynamic::DynamicSpanner dyn(engine, points, 1.0);
+    dynamic::DynamicSpanner dyn(engine, padded, 1.0);
     EXPECT_EQ(dyn.backbone().cds.edges(), expected);
-    EXPECT_EQ(dyn.backbone().is_connector, conn.is_connector);
+    EXPECT_EQ(dyn.backbone().is_connector, padded_connector);
     for (const geom::Point to : {geom::Point{5.0, 5.0}, points[6]}) {
         dynamic::UpdateBatch batch;
         batch.moves.push_back({6, to});
         EXPECT_FALSE(dyn.apply(batch).fell_back);
     }
     EXPECT_EQ(dyn.backbone().cds.edges(), expected);
-    EXPECT_EQ(dyn.backbone().is_connector, conn.is_connector);
+    EXPECT_EQ(dyn.backbone().is_connector, padded_connector);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Incremental maintenance engine: every patched topology must be
 // edge-for-edge identical to a from-scratch build on the same positions,
-// across moves, joins, leaves, both cluster policies, and forced
-// fallbacks — plus trace-replay fuzzing with ddmin shrinking and the
-// Lemma 1-8 auditors on patched outputs.
+// across moves, joins, leaves, and forced fallbacks — plus trace-replay
+// fuzzing with ddmin shrinking and the Lemma 1-8 auditors on patched
+// outputs.
 #include "dynamic/spanner.h"
 
 #include <gtest/gtest.h>
@@ -27,25 +27,21 @@ namespace {
 
 using graph::GeometricGraph;
 using graph::NodeId;
-using protocol::ClusterPolicy;
 using test::divergence;
 
-engine::EngineOptions engine_options(ClusterPolicy policy) {
-    return test::dynamic_engine_options(policy);
-}
+engine::EngineOptions engine_options() { return test::dynamic_engine_options(); }
 
 /// Deterministic mixed trace (random-walk moves, periodic joins) over an
 /// initial point set: returns the name of the first diverging structure,
 /// "" if the whole replay stays identical. Pure function of its inputs —
 /// the ddmin shrinker replays it on candidate subsets.
 std::string replay_divergence(const std::vector<geom::Point>& initial, double radius,
-                              std::uint64_t seed, ClusterPolicy policy, int steps,
-                              bool with_joins) {
+                              std::uint64_t seed, int steps, bool with_joins) {
     if (initial.empty()) return {};
-    engine::SpannerEngine engine(engine_options(policy));
+    engine::SpannerEngine engine(engine_options());
     DynamicSpanner dyn(engine, initial, radius);
     {
-        const std::string d = divergence(dyn, policy);
+        const std::string d = divergence(dyn);
         if (!d.empty()) return "initial-build:" + d;
     }
     rnd::Xoshiro256 rng(seed);
@@ -65,7 +61,7 @@ std::string replay_divergence(const std::vector<geom::Point>& initial, double ra
                                    anchor.y + rng.uniform(-radius, radius)});
         }
         dyn.apply(batch);
-        const std::string d = divergence(dyn, policy);
+        const std::string d = divergence(dyn);
         if (!d.empty()) return "step" + std::to_string(step) + ":" + d;
     }
     return {};
@@ -110,22 +106,19 @@ TEST(DynamicCellGrid, TracksRelocationsExactly) {
 
 TEST(DynamicSpanner, InitialBuildMatchesReference) {
     for (const auto& param : test::standard_sweep()) {
-        for (const ClusterPolicy policy :
-             {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
-            const auto udg = test::connected_udg(param.n, 200.0, param.radius, param.seed);
-            ASSERT_GT(udg.node_count(), 0u);
-            engine::SpannerEngine engine(engine_options(policy));
-            DynamicSpanner dyn(engine, udg.points(), param.radius);
-            EXPECT_EQ(divergence(dyn, policy), "")
-                << "n=" << param.n << " r=" << param.radius << " seed=" << param.seed;
-        }
+        const auto udg = test::connected_udg(param.n, 200.0, param.radius, param.seed);
+        ASSERT_GT(udg.node_count(), 0u);
+        engine::SpannerEngine engine(engine_options());
+        DynamicSpanner dyn(engine, udg.points(), param.radius);
+        EXPECT_EQ(divergence(dyn), "")
+            << "n=" << param.n << " r=" << param.radius << " seed=" << param.seed;
     }
 }
 
 TEST(DynamicSpanner, InvalidBatchThrowsBeforeTouchingState) {
     const auto udg = test::connected_udg(40, 200.0, 60.0, 3);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    engine::SpannerEngine engine(engine_options());
     DynamicSpanner dyn(engine, udg.points(), 60.0);
     const std::vector<geom::Point> points = dyn.positions();
     const graph::GeometricGraph before_udg = dyn.udg();
@@ -153,14 +146,14 @@ TEST(DynamicSpanner, InvalidBatchThrowsBeforeTouchingState) {
     leave_then_last.leaves = {0, n - 2};  // in range after the first swap-remove
     EXPECT_EQ(validate_batch(leave_then_last, dyn.node_count(), dyn.radius()), "");
     dyn.apply(leave_then_last);
-    EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
+    EXPECT_EQ(divergence(dyn), "");
 }
 
 TEST(DynamicSpanner, SingleMovesMatchReference) {
     for (const auto& param : test::standard_sweep()) {
         const auto udg = test::connected_udg(param.n, 200.0, param.radius, param.seed);
         ASSERT_GT(udg.node_count(), 0u);
-        engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+        engine::SpannerEngine engine(engine_options());
         DynamicSpanner dyn(engine, udg.points(), param.radius);
         rnd::Xoshiro256 rng(param.seed * 1000003);
         for (int step = 0; step < 12; ++step) {
@@ -171,40 +164,36 @@ TEST(DynamicSpanner, SingleMovesMatchReference) {
                                    {p.x + rng.uniform(-param.radius, param.radius),
                                     p.y + rng.uniform(-param.radius, param.radius)}});
             dyn.apply(batch);
-            ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "")
+            ASSERT_EQ(divergence(dyn), "")
                 << "n=" << param.n << " r=" << param.radius << " seed=" << param.seed
                 << " step=" << step;
         }
     }
 }
 
-TEST(DynamicSpanner, BatchedMovesMatchReferenceUnderBothPolicies) {
-    for (const ClusterPolicy policy :
-         {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
-        const auto udg = test::connected_udg(70, 200.0, 55.0, 31);
-        ASSERT_GT(udg.node_count(), 0u);
-        engine::SpannerEngine engine(engine_options(policy));
-        DynamicSpanner dyn(engine, udg.points(), 55.0);
-        rnd::Xoshiro256 rng(4242);
-        for (int step = 0; step < 10; ++step) {
-            UpdateBatch batch;
-            for (int i = 0; i < 5; ++i) {
-                const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
-                const geom::Point p = dyn.positions()[v];
-                batch.moves.push_back({v,
-                                       {p.x + rng.uniform(-30.0, 30.0),
-                                        p.y + rng.uniform(-30.0, 30.0)}});
-            }
-            dyn.apply(batch);
-            ASSERT_EQ(divergence(dyn, policy), "") << "step " << step;
+TEST(DynamicSpanner, BatchedMovesMatchReference) {
+    const auto udg = test::connected_udg(70, 200.0, 55.0, 31);
+    ASSERT_GT(udg.node_count(), 0u);
+    engine::SpannerEngine engine(engine_options());
+    DynamicSpanner dyn(engine, udg.points(), 55.0);
+    rnd::Xoshiro256 rng(4242);
+    for (int step = 0; step < 10; ++step) {
+        UpdateBatch batch;
+        for (int i = 0; i < 5; ++i) {
+            const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+            const geom::Point p = dyn.positions()[v];
+            batch.moves.push_back(
+                {v, {p.x + rng.uniform(-30.0, 30.0), p.y + rng.uniform(-30.0, 30.0)}});
         }
+        dyn.apply(batch);
+        ASSERT_EQ(divergence(dyn), "") << "step " << step;
     }
 }
 
 TEST(DynamicSpanner, JoinsMatchReference) {
     const auto udg = test::connected_udg(50, 200.0, 60.0, 7);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    engine::SpannerEngine engine(engine_options());
     DynamicSpanner dyn(engine, udg.points(), 60.0);
     rnd::Xoshiro256 rng(512);
     for (int step = 0; step < 8; ++step) {
@@ -215,14 +204,14 @@ TEST(DynamicSpanner, JoinsMatchReference) {
         const std::size_t before = dyn.node_count();
         dyn.apply(batch);
         ASSERT_EQ(dyn.node_count(), before + 1);
-        ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "step " << step;
+        ASSERT_EQ(divergence(dyn), "") << "step " << step;
     }
 }
 
 TEST(DynamicSpanner, LeavesFallBackAndMatchReference) {
     const auto udg = test::connected_udg(50, 200.0, 60.0, 19);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    engine::SpannerEngine engine(engine_options());
     DynamicSpanner dyn(engine, udg.points(), 60.0);
     rnd::Xoshiro256 rng(77);
     for (int step = 0; step < 5; ++step) {
@@ -232,18 +221,18 @@ TEST(DynamicSpanner, LeavesFallBackAndMatchReference) {
         const PatchStats stats = dyn.apply(batch);
         EXPECT_TRUE(stats.fell_back);
         ASSERT_EQ(dyn.node_count(), before - 1);
-        ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "step " << step;
+        ASSERT_EQ(divergence(dyn), "") << "step " << step;
     }
 }
 
 TEST(DynamicSpanner, ForcedFallbackStaysIdentical) {
-    // rebuild_fraction = 0 forces the full-rebuild path on every batch;
-    // both repair paths must land on the same topology.
-    const auto udg = test::connected_udg(40, 150.0, 55.0, 23);
+    // In a world this dense every node's 2-hop region holds more than
+    // half the nodes, past the whole-batch rebuild gate, so every batch
+    // takes the full-rebuild path; both repair paths must land on the
+    // same topology.
+    const auto udg = test::connected_udg(40, 80.0, 55.0, 23);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::EngineOptions opts = engine_options(ClusterPolicy::kLowestId);
-    opts.incremental_options.rebuild_fraction = 0.0;
-    engine::SpannerEngine engine(opts);
+    engine::SpannerEngine engine(engine_options());
     DynamicSpanner dyn(engine, udg.points(), 55.0);
     rnd::Xoshiro256 rng(5);
     for (int step = 0; step < 5; ++step) {
@@ -254,7 +243,7 @@ TEST(DynamicSpanner, ForcedFallbackStaysIdentical) {
             {v, {p.x + rng.uniform(-20.0, 20.0), p.y + rng.uniform(-20.0, 20.0)}});
         const PatchStats stats = dyn.apply(batch);
         EXPECT_TRUE(stats.fell_back) << "step " << step;
-        ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "step " << step;
+        ASSERT_EQ(divergence(dyn), "") << "step " << step;
     }
 }
 
@@ -268,66 +257,30 @@ std::vector<geom::Point> degree12_points(std::size_t n, std::uint64_t seed) {
     return core::uniform_points(config);
 }
 
-// Under kLdel2 every batch rebuilds, and the rebuild must build LDel⁽²⁾
-// as the engine does, not LDel⁽¹⁾ with Algorithm 3.
-TEST(DynamicSpanner, Ldel2PlanarizerMatchesEngine) {
-    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-        engine::EngineOptions opts = engine_options(ClusterPolicy::kLowestId);
-        opts.planarizer = core::Planarizer::kLdel2;
-        engine::SpannerEngine engine(opts);
-        DynamicSpanner dyn(engine, degree12_points(400, seed), 1.0);
-        const auto engine_diff = [&] {
-            const engine::BuildResult want = engine.build(dyn.positions(), 1.0);
-            if (!(want.udg == dyn.udg())) return std::string("udg");
-            return test::backbone_diff(dyn.backbone(), want.backbone);
-        };
-        ASSERT_EQ(engine_diff(), "") << "seed " << seed << " construction";
-
-        rnd::Xoshiro256 rng(seed);
-        UpdateBatch moves;
-        for (int i = 0; i < 4; ++i) {
-            const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
-            const geom::Point p = dyn.positions()[v];
-            moves.moves.push_back(
-                {v, {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)}});
-        }
-        EXPECT_TRUE(dyn.apply(moves).fell_back);
-        ASSERT_EQ(engine_diff(), "") << "seed " << seed << " move batch";
-
-        UpdateBatch leave;
-        leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
-        EXPECT_TRUE(dyn.apply(leave).fell_back);
-        ASSERT_EQ(engine_diff(), "") << "seed " << seed << " leave batch";
-    }
-}
-
 // A rebuild hands its connector elections and local triangle lists to
 // the patch path as retained state. Localized patches after it read and
 // update that state, so any entry, refcount or list loaded wrong shows
 // up as a divergence within a few batches.
 TEST(DynamicSpanner, PatchesAfterRebuildStayExact) {
     for (const std::size_t lanes : {1u, 2u, 4u}) {
-        for (const ClusterPolicy policy :
-             {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
-            engine::SpannerEngine engine(test::dynamic_engine_options(policy, lanes));
-            DynamicSpanner dyn(engine, degree12_points(1600, 11), 1.0);
-            rnd::Xoshiro256 rng(97 + lanes);
-            UpdateBatch leave;
-            leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
-            ASSERT_TRUE(dyn.apply(leave).fell_back);
-            ASSERT_EQ(divergence(dyn, policy), "") << "lanes " << lanes << " leave";
-            for (int step = 0; step < 20; ++step) {
-                UpdateBatch batch;
-                for (int i = 0; i < 2; ++i) {
-                    const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
-                    const geom::Point p = dyn.positions()[v];
-                    batch.moves.push_back(
-                        {v, {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)}});
-                }
-                const PatchStats stats = dyn.apply(batch);
-                ASSERT_FALSE(stats.fell_back) << "lanes " << lanes << " step " << step;
-                ASSERT_EQ(divergence(dyn, policy), "") << "lanes " << lanes << " step " << step;
+        engine::SpannerEngine engine(test::dynamic_engine_options(lanes));
+        DynamicSpanner dyn(engine, degree12_points(1600, 11), 1.0);
+        rnd::Xoshiro256 rng(97 + lanes);
+        UpdateBatch leave;
+        leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
+        ASSERT_TRUE(dyn.apply(leave).fell_back);
+        ASSERT_EQ(divergence(dyn), "") << "lanes " << lanes << " leave";
+        for (int step = 0; step < 20; ++step) {
+            UpdateBatch batch;
+            for (int i = 0; i < 2; ++i) {
+                const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+                const geom::Point p = dyn.positions()[v];
+                batch.moves.push_back(
+                    {v, {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)}});
             }
+            const PatchStats stats = dyn.apply(batch);
+            ASSERT_FALSE(stats.fell_back) << "lanes " << lanes << " step " << step;
+            ASSERT_EQ(divergence(dyn), "") << "lanes " << lanes << " step " << step;
         }
     }
 }
@@ -349,47 +302,43 @@ std::string retained_diff(const engine::PatchSeed& got, const engine::PatchSeed&
 // yet.
 TEST(DynamicSpanner, RetainedStateMatchesRebuild) {
     for (const std::size_t lanes : {1u, 2u, 4u}) {
-        for (const ClusterPolicy policy :
-             {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
-            engine::SpannerEngine engine(test::dynamic_engine_options(policy, lanes));
-            DynamicSpanner dyn(engine, degree12_points(1600, 11), 1.0);
-            rnd::Xoshiro256 rng(31 + lanes);
-            const auto diff = [&] {
-                const DynamicSpanner fresh(engine, dyn.positions(), 1.0);
-                return retained_diff(dyn.retained(), fresh.retained());
-            };
-            // A long highest-degree role cascade may legitimately fall
-            // back; nearly every batch must still take the patch path.
-            int localized = 0;
-            const auto localized_batches = [&](const char* phase) {
-                for (int step = 0; step < 8; ++step) {
-                    UpdateBatch batch;
-                    for (int i = 0; i < 2; ++i) {
-                        const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
-                        const geom::Point p = dyn.positions()[v];
-                        batch.moves.push_back({v, {p.x + rng.uniform(-0.3, 0.3),
-                                                   p.y + rng.uniform(-0.3, 0.3)}});
-                    }
-                    if (step % 2 == 0) {
-                        const geom::Point p =
-                            dyn.positions()[rng.below(dyn.node_count())];
-                        batch.joins.push_back(
-                            {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)});
-                    }
-                    localized += dyn.apply(batch).fell_back ? 0 : 1;
-                    ASSERT_EQ(diff(), "") << "lanes " << lanes << " " << phase << " step "
-                                          << step;
+        engine::SpannerEngine engine(test::dynamic_engine_options(lanes));
+        DynamicSpanner dyn(engine, degree12_points(1600, 11), 1.0);
+        rnd::Xoshiro256 rng(31 + lanes);
+        const auto diff = [&] {
+            const DynamicSpanner fresh(engine, dyn.positions(), 1.0);
+            return retained_diff(dyn.retained(), fresh.retained());
+        };
+        // A long role cascade may legitimately fall back; nearly every
+        // batch must still take the patch path.
+        int localized = 0;
+        const auto localized_batches = [&](const char* phase) {
+            for (int step = 0; step < 8; ++step) {
+                UpdateBatch batch;
+                for (int i = 0; i < 2; ++i) {
+                    const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+                    const geom::Point p = dyn.positions()[v];
+                    batch.moves.push_back(
+                        {v, {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)}});
                 }
-            };
-            localized_batches("before leave");
-            UpdateBatch leave;
-            leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
-            ASSERT_TRUE(dyn.apply(leave).fell_back);
-            ASSERT_EQ(diff(), "") << "lanes " << lanes << " leave";
-            localized_batches("after leave");
-            EXPECT_GE(localized, 14) << "lanes " << lanes;
-            ASSERT_EQ(divergence(dyn, policy), "") << "lanes " << lanes;
-        }
+                if (step % 2 == 0) {
+                    const geom::Point p = dyn.positions()[rng.below(dyn.node_count())];
+                    batch.joins.push_back(
+                        {p.x + rng.uniform(-0.3, 0.3), p.y + rng.uniform(-0.3, 0.3)});
+                }
+                localized += dyn.apply(batch).fell_back ? 0 : 1;
+                ASSERT_EQ(diff(), "") << "lanes " << lanes << " " << phase << " step "
+                                      << step;
+            }
+        };
+        localized_batches("before leave");
+        UpdateBatch leave;
+        leave.leaves.push_back(static_cast<NodeId>(rng.below(dyn.node_count())));
+        ASSERT_TRUE(dyn.apply(leave).fell_back);
+        ASSERT_EQ(diff(), "") << "lanes " << lanes << " leave";
+        localized_batches("after leave");
+        EXPECT_GE(localized, 14) << "lanes " << lanes;
+        ASSERT_EQ(divergence(dyn), "") << "lanes " << lanes;
     }
 }
 
@@ -397,7 +346,7 @@ TEST(DynamicSpanner, PatchedOutputsPassLemmaAudits) {
     const double radius = 60.0;
     const auto udg = test::connected_udg(60, 200.0, radius, 41);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    engine::SpannerEngine engine(engine_options());
     DynamicSpanner dyn(engine, udg.points(), radius);
     rnd::Xoshiro256 rng(8);
     for (int step = 0; step < 6; ++step) {
@@ -419,7 +368,7 @@ TEST(DynamicSpanner, PatchedOutputsPassLemmaAudits) {
 TEST(DynamicSpanner, PatchStatsReportLocalizedWork) {
     const auto udg = test::connected_udg(90, 260.0, 50.0, 47);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+    engine::SpannerEngine engine(engine_options());
     DynamicSpanner dyn(engine, udg.points(), 50.0);
     const geom::Point p = dyn.positions()[5];
     UpdateBatch batch;
@@ -429,7 +378,7 @@ TEST(DynamicSpanner, PatchStatsReportLocalizedWork) {
         EXPECT_LT(stats.dirty_nodes, dyn.node_count());
         EXPECT_FALSE(stats.pipeline.stages.empty());
     }
-    EXPECT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
+    EXPECT_EQ(divergence(dyn), "");
 }
 
 // A backbone node that jumps far outside the deployment leaves its
@@ -447,7 +396,7 @@ TEST(DynamicSpanner, FarMoveRetestsStayLocal) {
         config.side = side;
         config.radius = kRadius;
         config.seed = seed;
-        engine::SpannerEngine engine(engine_options(ClusterPolicy::kLowestId));
+        engine::SpannerEngine engine(engine_options());
         DynamicSpanner dyn(engine, core::uniform_points(config), kRadius);
 
         // The backbone node closest to the centre, so its triangles are
@@ -467,7 +416,7 @@ TEST(DynamicSpanner, FarMoveRetestsStayLocal) {
         batch.moves.push_back({mover, {side + 10.0 * kRadius, side + 10.0 * kRadius}});
         const PatchStats stats = dyn.apply(batch);
         ASSERT_FALSE(stats.fell_back) << "seed " << seed;
-        ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "seed " << seed;
+        ASSERT_EQ(divergence(dyn), "") << "seed " << seed;
         const auto triangles = static_cast<double>(dyn.backbone().ldel_triangles.size());
         EXPECT_LT(static_cast<double>(stats.triangles_retested), 0.03 * triangles)
             << "seed " << seed << ": " << stats.triangles_retested << " of " << triangles;
@@ -485,34 +434,25 @@ TEST(DynamicFuzz, TraceReplayAcrossGenerators) {
             config.radius = 50.0;
             config.seed = seed;
             const auto points = test::fuzz_points(mode, config);
-            for (const ClusterPolicy policy :
-                 {ClusterPolicy::kLowestId, ClusterPolicy::kHighestDegree}) {
-                const auto fails = [&](const std::vector<geom::Point>& pts) {
-                    return !replay_divergence(pts, config.radius, seed * 7919 + 1,
-                                              policy, 10, true)
-                                .empty();
-                };
-                if (!fails(points)) continue;
-                const auto shrunk = test::shrink_points(points, fails);
-                io::ReproCase repro;
-                repro.seed = seed;
-                repro.mode = std::string("dynamic_") + test::fuzz_mode_name(mode);
-                repro.radius = config.radius;
-                repro.failed_check =
-                    "incremental_equivalence:" +
-                    replay_divergence(shrunk, config.radius, seed * 7919 + 1, policy,
-                                      10, true);
-                repro.points = shrunk;
-                const auto path = test::dump_repro(repro);
-                ADD_FAILURE() << "incremental replay diverged (mode="
-                              << test::fuzz_mode_name(mode) << ", seed=" << seed
-                              << ", policy="
-                              << (policy == ClusterPolicy::kLowestId ? "lowest-id"
-                                                                     : "highest-degree")
-                              << "): " << repro.failed_check
-                              << "\nshrunk to " << shrunk.size()
-                              << " points; repro: " << path;
-            }
+            const auto fails = [&](const std::vector<geom::Point>& pts) {
+                return !replay_divergence(pts, config.radius, seed * 7919 + 1, 10, true)
+                            .empty();
+            };
+            if (!fails(points)) continue;
+            const auto shrunk = test::shrink_points(points, fails);
+            io::ReproCase repro;
+            repro.seed = seed;
+            repro.mode = std::string("dynamic_") + test::fuzz_mode_name(mode);
+            repro.radius = config.radius;
+            repro.failed_check =
+                "incremental_equivalence:" +
+                replay_divergence(shrunk, config.radius, seed * 7919 + 1, 10, true);
+            repro.points = shrunk;
+            const auto path = test::dump_repro(repro);
+            ADD_FAILURE() << "incremental replay diverged (mode="
+                          << test::fuzz_mode_name(mode) << ", seed=" << seed
+                          << "): " << repro.failed_check << "\nshrunk to "
+                          << shrunk.size() << " points; repro: " << path;
         }
     }
 }

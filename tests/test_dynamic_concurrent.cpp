@@ -26,7 +26,6 @@ namespace geospanner::dynamic {
 namespace {
 
 using graph::NodeId;
-using protocol::ClusterPolicy;
 using test::divergence;
 
 /// One sweep point: instance shape, generator seed, updates per batch,
@@ -94,10 +93,9 @@ TEST_P(DynamicConcurrent, PatchedTopologyMatchesReference) {
     const auto points = test::fuzz_points(p.mode, config);
     ASSERT_FALSE(points.empty());
 
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, p.threads));
+    engine::SpannerEngine engine(test::dynamic_engine_options(p.threads));
     DynamicSpanner dyn(engine, points, config.radius);
-    ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "") << "initial build";
+    ASSERT_EQ(divergence(dyn), "") << "initial build";
 
     rnd::Xoshiro256 rng(p.seed * 16923 + p.batch * 7 + p.threads);
     for (int step = 0; step < 3; ++step) {
@@ -110,7 +108,7 @@ TEST_P(DynamicConcurrent, PatchedTopologyMatchesReference) {
         }
         const PatchStats stats = dyn.apply(batch);
         ASSERT_TRUE(components_certified(dyn, stats)) << "step " << step;
-        ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "")
+        ASSERT_EQ(divergence(dyn), "")
             << "step " << step << " components=" << stats.components.size()
             << " fell_back=" << stats.fell_back;
     }
@@ -128,7 +126,7 @@ TEST(DynamicConcurrent, ThreadCountsProduceIdenticalTopology) {
     std::vector<std::unique_ptr<DynamicSpanner>> dyns;
     for (const std::size_t threads : {1u, 2u, 8u}) {
         engines.push_back(std::make_unique<engine::SpannerEngine>(
-            test::dynamic_engine_options(ClusterPolicy::kLowestId, threads)));
+            test::dynamic_engine_options(threads)));
         dyns.push_back(
             std::make_unique<DynamicSpanner>(*engines.back(), udg.points(), radius));
     }
@@ -150,7 +148,7 @@ TEST(DynamicConcurrent, ThreadCountsProduceIdenticalTopology) {
                 << "step " << step << ": backbone differs between thread counts";
         }
     }
-    ASSERT_EQ(divergence(*dyns[0], ClusterPolicy::kLowestId), "");
+    ASSERT_EQ(divergence(*dyns[0]), "");
 }
 
 TEST(DynamicConcurrent, AdjacentSeedsMergeIntoOneComponent) {
@@ -161,8 +159,7 @@ TEST(DynamicConcurrent, AdjacentSeedsMergeIntoOneComponent) {
     const double radius = 55.0;
     const auto udg = test::connected_udg(80, 240.0, radius, 13);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     DynamicSpanner dyn(engine, udg.points(), radius);
 
     NodeId v = 0;
@@ -178,38 +175,33 @@ TEST(DynamicConcurrent, AdjacentSeedsMergeIntoOneComponent) {
         EXPECT_EQ(stats.components.size(), 1u);
         EXPECT_TRUE(components_certified(dyn, stats));
     }
-    ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
+    ASSERT_EQ(divergence(dyn), "");
 }
 
 TEST(DynamicConcurrent, AllComponentsOverCapFallBackIdentically) {
-    // Per-component gate squeezed to zero: every component's region
-    // exceeds its cap, the batch must take the full-rebuild path, record
-    // the over-cap components it found, and still land on the reference
-    // topology.
+    // One move in a world where a node's 2-hop region holds between a
+    // quarter and half of the nodes: past the per-component rebuild gate
+    // but inside the whole-batch one. The batch must decompose, find its
+    // one component over cap, take the full-rebuild path, and still land
+    // on the reference topology.
     const double radius = 50.0;
-    const auto udg = test::connected_udg(100, 280.0, radius, 37);
+    const auto udg = test::connected_udg(100, 240.0, radius, 1);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::EngineOptions opts =
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2);
-    opts.incremental_options.rebuild_fraction = 1e-9;
-    opts.incremental_options.total_rebuild_fraction = 1.0;
-    engine::SpannerEngine engine(opts);
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     DynamicSpanner dyn(engine, udg.points(), radius);
 
     rnd::Xoshiro256 rng(404);
     UpdateBatch batch;
-    for (int i = 0; i < 6; ++i) {
-        const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
-        const geom::Point q = dyn.positions()[v];
-        batch.moves.push_back(
-            {v, {q.x + rng.uniform(-20.0, 20.0), q.y + rng.uniform(-20.0, 20.0)}});
-    }
+    const auto v = static_cast<NodeId>(rng.below(dyn.node_count()));
+    const geom::Point q = dyn.positions()[v];
+    batch.moves.push_back(
+        {v, {q.x + rng.uniform(-20.0, 20.0), q.y + rng.uniform(-20.0, 20.0)}});
     const PatchStats stats = dyn.apply(batch);
     EXPECT_TRUE(stats.fell_back);
     EXPECT_FALSE(stats.components.empty());
     EXPECT_GE(stats.component_fallbacks, 1u);
     EXPECT_EQ(stats.component_fallbacks, stats.components.size());
-    ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
+    ASSERT_EQ(divergence(dyn), "");
 }
 
 TEST(DynamicConcurrent, SimultaneousMoveAndLeaveOnAdjacentNodes) {
@@ -221,8 +213,7 @@ TEST(DynamicConcurrent, SimultaneousMoveAndLeaveOnAdjacentNodes) {
     const double radius = 55.0;
     const auto udg = test::connected_udg(60, 220.0, radius, 91);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     DynamicSpanner dyn(engine, udg.points(), radius);
 
     NodeId v = 0;
@@ -236,7 +227,7 @@ TEST(DynamicConcurrent, SimultaneousMoveAndLeaveOnAdjacentNodes) {
     const PatchStats stats = dyn.apply(batch);
     EXPECT_TRUE(stats.fell_back);
     ASSERT_EQ(dyn.node_count(), before - 1);
-    ASSERT_EQ(divergence(dyn, ClusterPolicy::kLowestId), "");
+    ASSERT_EQ(divergence(dyn), "");
 }
 
 }  // namespace

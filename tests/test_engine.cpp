@@ -182,31 +182,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          Shape::kGrid),
                        ::testing::Values(11ULL, 29ULL, 53ULL)));
 
-TEST(Engine, Ldel2PlanarizerMatchesSequentialPath) {
-    const GeometricGraph udg = test::connected_udg(60, 200.0, 55.0, 17);
-    ASSERT_GT(udg.node_count(), 0u);
-    const core::Backbone expected = core::build_backbone(
-        udg, {core::Engine::kCentralized, protocol::ClusterPolicy::kLowestId,
-              core::Planarizer::kLdel2});
-    EngineOptions options;
-    options.threads = 4;
-    options.planarizer = core::Planarizer::kLdel2;
-    SpannerEngine engine(options);
-    expect_backbones_equal(expected, engine.build_backbone(udg));
-}
-
-TEST(Engine, HighestDegreePolicyMatchesSequentialPath) {
-    const GeometricGraph udg = test::connected_udg(60, 200.0, 55.0, 23);
-    ASSERT_GT(udg.node_count(), 0u);
-    const core::Backbone expected = core::build_backbone(
-        udg, {core::Engine::kCentralized, protocol::ClusterPolicy::kHighestDegree});
-    EngineOptions options;
-    options.threads = 4;
-    options.cluster_policy = protocol::ClusterPolicy::kHighestDegree;
-    SpannerEngine engine(options);
-    expect_backbones_equal(expected, engine.build_backbone(udg));
-}
-
 /// `udg` with every `every`-th link (in edge order) lost: a lossy radio
 /// graph, which the pipeline takes like any other. Over a full UDG,
 /// LDel⁽¹⁾(ICDS) almost never has crossing triangles; lost links hide

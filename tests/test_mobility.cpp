@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/planarity.h"
 #include "graph/shortest_paths.h"
 #include "mobility/waypoint.h"
@@ -114,6 +116,29 @@ TEST(Maintenance, RebuildTriggersOnlyOnUsedLinkBreakage) {
     const bool rebuilt = mb.update(broken);
     // Either the UDG got disconnected (skipped) or we rebuilt.
     EXPECT_TRUE(rebuilt || mb.stats().disconnected_epochs == 1u);
+}
+
+TEST(Maintenance, CentralizedRejectsVariantsDistributedKeepsThem) {
+    // The centralized path maintains only the paper's configuration; a
+    // variant there would be silently replaced by it, so it throws. The
+    // distributed path builds every variant.
+    const auto udg = test::connected_udg(40, 200.0, 60.0, 5);
+    ASSERT_GT(udg.node_count(), 0u);
+    const core::BuildOptions highest_degree{core::Engine::kCentralized,
+                                            protocol::ClusterPolicy::kHighestDegree};
+    const core::BuildOptions ldel2{core::Engine::kCentralized,
+                                   protocol::ClusterPolicy::kLowestId,
+                                   core::Planarizer::kLdel2};
+    for (core::BuildOptions options : {highest_degree, ldel2}) {
+        EXPECT_THROW(MaintainedBackbone(udg.points(), 60.0, options),
+                     std::invalid_argument);
+        options.engine = core::Engine::kDistributed;
+        const MaintainedBackbone mb(udg.points(), 60.0, options);
+        const core::Backbone want = core::build_backbone(udg, options);
+        EXPECT_EQ(mb.backbone().cluster.role, want.cluster.role);
+        EXPECT_EQ(mb.backbone().ldel_triangles, want.ldel_triangles);
+        EXPECT_EQ(mb.backbone().ldel_icds_prime, want.ldel_icds_prime);
+    }
 }
 
 TEST(Maintenance, RebuiltBackboneIsValidAndPlanar) {

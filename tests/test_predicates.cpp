@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "geom/vec2.h"
 #include "random/rng.h"
 
@@ -192,6 +196,44 @@ TEST(Segments, NearParallelExactness) {
     const Point q1{0.0, std::nextafter(0.0, 1.0)};
     const Point q2{1e9, std::nextafter(1e9, 0.0)};
     EXPECT_TRUE(segments_properly_cross(p1, p2, q1, q2));
+}
+
+// Each thread counts into its own block with a plain load and store.
+// The aggregate must still see every call, keep the counts of threads
+// that have exited, and read zero after a reset, then count only the
+// calls made after it.
+TEST(PredicateCounters, CountEveryThreadAcrossExitAndReset) {
+    constexpr std::uint64_t kCalls = 20000;
+    constexpr std::uint64_t kThreads = 4;
+    const auto run_threads = [&] {
+        std::vector<std::uint64_t> left_turns(kThreads, 0);
+        std::vector<std::thread> threads;
+        for (std::uint64_t t = 0; t < kThreads; ++t) {
+            threads.emplace_back([&left_turns, t] {
+                // Far from collinear, so the float filter decides each call.
+                for (std::uint64_t i = 0; i < kCalls; ++i) {
+                    left_turns[t] += orient_sign({0, 0}, {1, 0}, {0, 1}) == 1 ? 1 : 0;
+                }
+            });
+        }
+        for (std::thread& thread : threads) thread.join();
+        for (const std::uint64_t count : left_turns) EXPECT_EQ(count, kCalls);
+    };
+
+    const PredicateCounters before = predicate_counters();
+    run_threads();
+    const PredicateCounters after = predicate_counters();
+    EXPECT_EQ(after.orient_fast - before.orient_fast, kThreads * kCalls);
+    EXPECT_EQ(after.total() - before.total(), kThreads * kCalls);
+
+    reset_predicate_counters();
+    EXPECT_EQ(predicate_counters().total(), 0u);
+    EXPECT_EQ(orient_sign({0, 0}, {1, 0}, {0, 1}), 1);
+    EXPECT_EQ(predicate_counters().total(), 1u);
+    run_threads();
+    const PredicateCounters since_reset = predicate_counters();
+    EXPECT_EQ(since_reset.orient_fast, kThreads * kCalls + 1);
+    EXPECT_EQ(since_reset.total(), kThreads * kCalls + 1);
 }
 
 }  // namespace

@@ -31,7 +31,6 @@ namespace geospanner::service {
 namespace {
 
 using graph::NodeId;
-using protocol::ClusterPolicy;
 
 constexpr double kRadius = 55.0;
 
@@ -39,8 +38,7 @@ constexpr double kRadius = 55.0;
 /// produce: UDG and backbone equal the from-scratch build on the
 /// snapshot's own positions.
 std::string snapshot_divergence(const Snapshot& snap) {
-    return test::state_divergence(snap.points, snap.radius, snap.udg, snap.backbone,
-                                  ClusterPolicy::kLowestId);
+    return test::state_divergence(snap.points, snap.radius, snap.udg, snap.backbone);
 }
 
 /// Deterministic move-only batch over the first `n` node ids (producers
@@ -142,8 +140,7 @@ TEST(UpdateQueue, BlockedPopWakesOnClose) {
 TEST(SpannerService, DrainedStateMatchesReference) {
     const auto udg = test::connected_udg(60, 220.0, kRadius, 17);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     SpannerService service(engine, udg.points(), kRadius);
 
     rnd::Xoshiro256 rng(23);
@@ -172,8 +169,7 @@ TEST(SpannerService, DrainedStateMatchesReference) {
 TEST(SpannerService, SnapshotsAreSharedBetweenBatchesAndImmutableAcross) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 5);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     SpannerService service(engine, udg.points(), kRadius);
     service.drain();
 
@@ -200,8 +196,7 @@ TEST(SpannerService, SnapshotsAreSharedBetweenBatchesAndImmutableAcross) {
 TEST(SpannerService, StopRejectsFurtherEnqueuesButDrainsBacklog) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 29);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     SpannerService service(engine, udg.points(), kRadius);
 
     rnd::Xoshiro256 rng(11);
@@ -229,8 +224,7 @@ TEST(SpannerService, ConcurrentProducersAndReadersSoak) {
     const std::size_t n = udg.node_count();
     const std::vector<geom::Point> initial = udg.points();
 
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     SpannerService service(engine, initial, kRadius);
 
     std::atomic<bool> done{false};
@@ -309,8 +303,7 @@ TEST(SpannerService, StopRacesDrainAndEnqueue) {
     const std::vector<geom::Point> initial = udg.points();
 
     for (int round = 0; round < 3; ++round) {
-        engine::SpannerEngine engine(
-            test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+        engine::SpannerEngine engine(test::dynamic_engine_options(2));
         SpannerService service(engine, initial, kRadius);
 
         std::atomic<std::size_t> accepted{0};
@@ -348,8 +341,7 @@ TEST(SpannerService, StopRacesDrainAndEnqueue) {
 TEST(SpannerService, RejectBackpressureCountsDropsAndKeepsServing) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 33);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     ServiceOptions options;
     options.queue_capacity = 2;
     options.backpressure = BackpressurePolicy::kReject;
@@ -385,8 +377,7 @@ TEST(SpannerService, RejectBackpressureCountsDropsAndKeepsServing) {
 TEST(SpannerService, CoalesceBackpressureMergesMoveOnlyBatches) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 37);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     ServiceOptions options;
     options.queue_capacity = 1;
     options.backpressure = BackpressurePolicy::kCoalesce;
@@ -417,8 +408,7 @@ TEST(SpannerService, CoalesceBackpressureMergesMoveOnlyBatches) {
 TEST(SpannerService, PoisonedBatchIsQuarantinedBeforeApply) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 41);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     SpannerService service(engine, udg.points(), kRadius);
 
     rnd::Xoshiro256 rng(9);
@@ -531,8 +521,7 @@ TEST(SpannerService, HeldSnapshotsOfManyVersionsStayExact) {
     const auto udg = test::connected_udg(60, 220.0, kRadius, 71);
     ASSERT_GT(udg.node_count(), 0u);
     const std::size_t n = udg.node_count();
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     SpannerService service(engine, udg.points(), kRadius);
 
     rnd::Xoshiro256 rng(19);
@@ -593,7 +582,7 @@ TEST(SpannerService, HeldSnapshotsOfManyVersionsStayExact) {
         const graph::GeometricGraph fresh = proximity::build_udg(positions[v], kRadius);
         EXPECT_EQ(digest(*h.snap),
                   digest(positions[v], fresh,
-                         test::reference_backbone(fresh, ClusterPolicy::kLowestId)))
+                         test::reference_backbone(fresh)))
             << "v" << v;
     }
 }
@@ -603,8 +592,7 @@ TEST(SpannerService, HeldSnapshotsOfManyVersionsStayExact) {
 TEST(SpannerService, SnapshotIsPromptWhileApplyIsWedged) {
     const auto udg = test::connected_udg(40, 180.0, kRadius, 13);
     ASSERT_GT(udg.node_count(), 0u);
-    engine::SpannerEngine engine(
-        test::dynamic_engine_options(ClusterPolicy::kLowestId, 2));
+    engine::SpannerEngine engine(test::dynamic_engine_options(2));
     std::atomic<bool> entered{false};
     std::atomic<bool> release{false};
     ServiceOptions options;

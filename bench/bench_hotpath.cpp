@@ -1,4 +1,4 @@
-// Construction hot-path microbenches: the three kernels a build spends
+// Construction hot-path microbenches: the kernels a build spends
 // its time in, measured in isolation so regressions are attributable
 // before they blur into full-pipeline wall time.
 //
@@ -15,7 +15,12 @@
 //    costs O(d·k) predicates for star size k: ns per d·k stays flat if
 //    that holds, and BW's ns per d·log2 d is its own yardstick. One
 //    more row puts u on an exactly cocircular ring, where k = d and
-//    every in-circle test is an exact tie: the O(d²) worst case.
+//    every in-circle test is an exact tie: the O(d²) worst case;
+//  * Algorithm 3 filter — Alg3Filter over the deployment's LDel⁽¹⁾
+//    triangles, built and scanned as one block (planarize_triangles'
+//    shape), with predicate calls per triangle from the counters: the
+//    separating-line exit keeps this near the few orientations a
+//    disjoint pair costs.
 //
 // One JSON object per kernel is appended to $GS_BENCH_JSON (default
 // BENCH_hotpath.json). GS_BENCH_TRIALS controls repetitions (best-of);
@@ -249,6 +254,38 @@ int main() {
         std::vector<geom::Point> pts;
         for (std::size_t i = 0; i < 129; ++i) pts.push_back(ring[i * ring.size() / 129]);
         local_delaunay_row("cocircular_ring", pts, 128, 2.0 * kR);
+    }
+
+    // ---- Algorithm 3 filter: one-block scan over LDel⁽¹⁾. ----
+    {
+        const auto udg = proximity::build_udg(points, 1.0);
+        const auto triangles = proximity::ldel1_triangles(udg);
+        std::size_t removed = 0;
+        const auto scan = [&] {
+            const proximity::Alg3Filter filter(udg, triangles);
+            std::vector<std::uint32_t> list;
+            filter.removal_scan(0, filter.cell_count(), list);
+            removed = triangles.size() - filter.survivors({&list, 1}).size();
+        };
+        geom::reset_predicate_counters();
+        scan();
+        const std::uint64_t pred_calls = geom::predicate_counters().total();
+        const double ms = best_of(trials, scan);
+        const double per_triangle =
+            triangles.empty() ? 0.0
+                              : static_cast<double>(pred_calls) /
+                                    static_cast<double>(triangles.size());
+        std::cout << "alg3 filter    " << ms << " ms over " << triangles.size()
+                  << " triangles, " << per_triangle << " predicate calls per triangle ("
+                  << removed << " removed)\n";
+        auto obj = sink.row();
+        obj.add("kernel", "alg3_filter")
+            .add("n", n)
+            .add("wall_ms", ms)
+            .add("triangles", triangles.size())
+            .add("pred_calls_per_triangle", per_triangle)
+            .add("removed", removed);
+        sink.emit(obj);
     }
 
     std::cout << "\nJSON appended to " << sink.path() << '\n';

@@ -335,13 +335,11 @@ int compare_points_along(Point p, Point q, Point w1, Point w2) {
 }
 
 bool segments_properly_cross(Point p1, Point p2, Point q1, Point q2) {
-    const int o1 = orient_sign(p1, p2, q1);
-    const int o2 = orient_sign(p1, p2, q2);
-    const int o3 = orient_sign(q1, q2, p1);
-    const int o4 = orient_sign(q1, q2, p2);
     // Proper crossing: each segment's endpoints strictly straddle the
-    // other's supporting line.
-    return o1 * o2 < 0 && o3 * o4 < 0;
+    // other's supporting line. Most pairs fail the first straddle, so
+    // the second pair of orientations runs only when it holds.
+    if (orient_sign(p1, p2, q1) * orient_sign(p1, p2, q2) >= 0) return false;
+    return orient_sign(q1, q2, p1) * orient_sign(q1, q2, p2) < 0;
 }
 
 bool segments_intersect(Point p1, Point p2, Point q1, Point q2) {

@@ -109,7 +109,8 @@ enum class Orientation : int {
 /// True iff closed segments [p1,p2] and [q1,q2] *properly* cross: they
 /// intersect in exactly one point interior to both. Shared endpoints and
 /// collinear overlap do not count as proper crossings (two backbone edges
-/// sharing a node are not a planarity violation). Exact.
+/// sharing a node are not a planarity violation). Exact; a pair whose
+/// q-endpoints do not straddle line p1p2 costs two orientations, not four.
 [[nodiscard]] bool segments_properly_cross(Point p1, Point p2, Point q1, Point q2);
 
 /// True iff segments [p1,p2] and [q1,q2] intersect at all (including

@@ -34,11 +34,51 @@ TrianglePoints ccw_points(const GeometricGraph& g, TriangleKey t) {
     Point a = g.point(t.a);
     Point b = g.point(t.b);
     Point c = g.point(t.c);
-    if (geom::orient_sign(a, b, c) < 0) std::swap(b, c);
-    return {a, b, c};
+    const int o = geom::orient_sign(a, b, c);
+    if (o < 0) std::swap(b, c);
+    return {a, b, c, o != 0};
 }
 
+/// True iff some edge line of the strictly CCW triangle s has all three
+/// corners of t in its closed outer half-plane (orient_sign <= 0).
+bool edge_line_separates(const TrianglePoints& s, const TrianglePoints& t) {
+    for (const auto& [p, q] : {std::pair{s.a, s.b}, {s.b, s.c}, {s.c, s.a}}) {
+        if (geom::orient_sign(p, q, t.a) <= 0 && geom::orient_sign(p, q, t.b) <= 0 &&
+            geom::orient_sign(p, q, t.c) <= 0) {
+            return true;
+        }
+    }
+    return false;
+}
+
+/// Algorithm 3's one intersection kernel. Almost every pair that
+/// reaches it is disjoint, so it first looks for a separating edge line
+/// and only then runs the exhaustive test (nine proper crossings, six
+/// corners strictly inside).
+///
+/// Why the early exit is exact. Let s and t be strictly CCW, (p, q) an
+/// edge of s with third corner r, L its line, and H- / H+ the closed
+/// half-planes where orient_sign(p, q, ·) <= 0 / >= 0. If all corners
+/// of t are in H-, then t lies in H- and s in H+, with r off L.
+///  * A proper crossing needs both endpoints of one segment strictly on
+///    opposite sides of the other's line. A crossing of an edge e of s
+///    and an edge f of t lies in both open segments and in H+ ∩ H- = L.
+///    The open edges (q, r) and (r, p) lie strictly inside H+, off L, so
+///    e = (p, q); but f's endpoints are in H-, not strictly on both
+///    sides of L.
+///  * A corner strictly inside the other triangle needs three strictly
+///    positive orientations. No corner of t has orient_sign(p, q, ·) > 0,
+///    so none is strictly inside s; a corner of s strictly inside t
+///    would lie in the interior of H-, yet p and q are on L and r is in
+///    H+.
+/// The strict-CCW guard is needed: an edge of a zero-area triangle may
+/// have p == q, whose "line" puts every point at 0. Pairs the early
+/// exit does not reject, zero-area triangles included, get the
+/// exhaustive test.
 bool intersect_impl(const TrianglePoints& s, const TrianglePoints& t) {
+    if (s.strict && t.strict && (edge_line_separates(s, t) || edge_line_separates(t, s))) {
+        return false;
+    }
     const std::array<std::pair<Point, Point>, 3> se{{{s.a, s.b}, {s.b, s.c}, {s.c, s.a}}};
     const std::array<std::pair<Point, Point>, 3> te{{{t.a, t.b}, {t.b, t.c}, {t.c, t.a}}};
     for (const auto& [p1, p2] : se) {

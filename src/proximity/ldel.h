@@ -70,7 +70,11 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 
 /// Strict geometric intersection of two distinct triangles: some edge
 /// pair properly crosses or a vertex of one lies strictly inside the
-/// other (sharing vertices or edges alone does not count). Exact.
+/// other (sharing vertices or edges alone does not count). Exact. This
+/// is Algorithm 3's one intersection kernel: two strictly CCW triangles
+/// with an edge line of one leaving the other wholly on its closed outer
+/// side are rejected on those orientations alone; every other pair gets
+/// the exhaustive crossing and inside tests.
 [[nodiscard]] bool triangles_intersect(const graph::GeometricGraph& g, TriangleKey s,
                                        TriangleKey t);
 
@@ -83,7 +87,8 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 /// because of r — they intersect and t's circumcircle strictly contains
 /// a vertex of r, or neither circumcircle strictly contains a vertex of
 /// the other (exactly cocircular corners) and t has the larger key.
-/// The rule Alg3Filter applies to every intersecting pair. Exact.
+/// The rule Alg3Filter applies to every intersecting pair, behind the
+/// same bounding-box check and intersection kernel. Exact.
 [[nodiscard]] bool alg3_removed_by(const graph::GeometricGraph& g, TriangleKey t,
                                    TriangleKey r);
 
@@ -127,12 +132,16 @@ template <class Rows>
 /// of the cells tests every intersecting pair exactly once, and any
 /// partition yields the same survivors (`planarize_triangles` is the
 /// one-range scan). Index order must be key order (a sorted set) for
-/// the larger-key tie-break on cocircular crossings.
+/// the larger-key tie-break on cocircular crossings. Each pair whose
+/// boxes overlap goes through triangles_intersect's kernel, with the
+/// corners' strict-CCW flag computed once per triangle here.
 class Alg3Filter {
   public:
-    /// Triangle corners in CCW order.
+    /// Triangle corners in CCW order; `strict` iff they are not
+    /// collinear, which arms the intersection test's early exit.
     struct CcwTri {
         geom::Point a, b, c;
+        bool strict = false;
     };
 
     Alg3Filter(const graph::GeometricGraph& g, std::vector<TriangleKey> triangles);

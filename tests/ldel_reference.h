@@ -13,9 +13,22 @@
 //
 // Both apply the kernel's dedup: neighbors exactly on u are dropped and
 // of coincident neighbors the first in adjacency order stands for all.
+//
+// And references for Algorithm 3, for checking the kernel behind
+// proximity::triangles_intersect, alg3_removed_by and Alg3Filter:
+//
+//  * intersect_reference — the exhaustive test alone: some edge pair
+//    properly crosses or some corner lies strictly inside the other
+//    triangle (nine crossing tests, six strictly-inside tests);
+//    edges_cross_reference is its crossing half.
+//  * planarize_reference — Algorithm 3 over all pairs of a sorted set:
+//    of each intersecting pair, remove every triangle whose circumcircle
+//    strictly holds a corner of the other, or the larger key when
+//    neither does.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <ostream>
 #include <utility>
 #include <vector>
@@ -93,6 +106,74 @@ inline std::vector<proximity::TriangleKey> perturbed_star_at(const graph::Geomet
     }
     std::sort(out.begin(), out.end());
     return out;
+}
+
+/// Corners of t, counter-clockwise unless collinear.
+inline std::array<geom::Point, 3> ccw_corners(const graph::GeometricGraph& g,
+                                              proximity::TriangleKey t) {
+    std::array<geom::Point, 3> p{g.point(t.a), g.point(t.b), g.point(t.c)};
+    if (geom::orient_sign(p[0], p[1], p[2]) < 0) std::swap(p[1], p[2]);
+    return p;
+}
+
+/// True iff some edge of s properly crosses some edge of t.
+inline bool edges_cross_reference(const graph::GeometricGraph& g, proximity::TriangleKey s,
+                                  proximity::TriangleKey t) {
+    const auto ps = ccw_corners(g, s);
+    const auto pt = ccw_corners(g, t);
+    for (std::size_t i = 0; i < 3; ++i) {
+        for (std::size_t j = 0; j < 3; ++j) {
+            if (geom::segments_properly_cross(ps[i], ps[(i + 1) % 3], pt[j],
+                                              pt[(j + 1) % 3])) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+inline bool intersect_reference(const graph::GeometricGraph& g, proximity::TriangleKey s,
+                                proximity::TriangleKey t) {
+    if (edges_cross_reference(g, s, t)) return true;
+    const auto ps = ccw_corners(g, s);
+    const auto pt = ccw_corners(g, t);
+    const auto strictly_inside = [](const std::array<geom::Point, 3>& tri, geom::Point p) {
+        return geom::orient_sign(tri[0], tri[1], p) > 0 &&
+               geom::orient_sign(tri[1], tri[2], p) > 0 &&
+               geom::orient_sign(tri[2], tri[0], p) > 0;
+    };
+    for (const geom::Point p : pt) {
+        if (strictly_inside(ps, p)) return true;
+    }
+    for (const geom::Point p : ps) {
+        if (strictly_inside(pt, p)) return true;
+    }
+    return false;
+}
+
+inline std::vector<proximity::TriangleKey> planarize_reference(
+    const graph::GeometricGraph& g, const std::vector<proximity::TriangleKey>& triangles) {
+    const auto holds_corner_of = [&](proximity::TriangleKey s, proximity::TriangleKey t) {
+        const auto ps = ccw_corners(g, s);
+        return std::ranges::any_of(ccw_corners(g, t), [&](geom::Point p) {
+            return geom::in_circumcircle(ps[0], ps[1], ps[2], p) > 0;
+        });
+    };
+    std::vector<char> removed(triangles.size(), 0);
+    for (std::size_t i = 0; i < triangles.size(); ++i) {
+        for (std::size_t j = i + 1; j < triangles.size(); ++j) {
+            if (!intersect_reference(g, triangles[i], triangles[j])) continue;
+            const bool remove_i = holds_corner_of(triangles[i], triangles[j]);
+            const bool remove_j = holds_corner_of(triangles[j], triangles[i]);
+            if (remove_i) removed[i] = 1;
+            if (remove_j || !remove_i) removed[j] = 1;
+        }
+    }
+    std::vector<proximity::TriangleKey> kept;
+    for (std::size_t i = 0; i < triangles.size(); ++i) {
+        if (!removed[i]) kept.push_back(triangles[i]);
+    }
+    return kept;
 }
 
 }  // namespace geospanner::test

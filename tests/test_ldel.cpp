@@ -3,6 +3,8 @@
 #include "proximity/ldel.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
 #include <gtest/gtest.h>
 
 #include "core/workload.h"
@@ -12,6 +14,7 @@
 #include "graph/shortest_paths.h"
 #include "proximity/classic.h"
 #include "proximity/udg.h"
+#include "random/rng.h"
 #include "ldel_reference.h"
 #include "test_util.h"
 #include "verify/audit.h"
@@ -163,6 +166,134 @@ TEST(Ldel, PlanarizeHandlesCoordinatesFarBeyondTriangleExtents) {
     const auto kept =
         planarize_triangles(g, {kept_diagonal, make_triangle_key(0, 1, 3), far});
     EXPECT_EQ(kept, (std::vector<TriangleKey>{kept_diagonal, far}));
+}
+
+// ---- Algorithm 3's kernel against its references --------------------
+
+/// Two copies of the m×m integer lattice: node v and node v + m² share
+/// a point, so triangle keys reach coincident corners as well as
+/// collinear and shared vertices.
+GeometricGraph doubled_lattice(std::size_t m) {
+    std::vector<geom::Point> pts;
+    for (int copy = 0; copy < 2; ++copy) {
+        for (std::size_t i = 0; i < m * m; ++i) {
+            pts.push_back({static_cast<double>(i / m), static_cast<double>(i % m)});
+        }
+    }
+    return GeometricGraph(pts);
+}
+
+/// The key of three distinct ids, or nothing.
+std::optional<TriangleKey> distinct_key(NodeId x, NodeId y, NodeId z) {
+    if (x == y || y == z || x == z) return std::nullopt;
+    return make_triangle_key(x, y, z);
+}
+
+TEST(Alg3Kernel, SeparatingLineMatchesExhaustiveTest) {
+    // Corners on the 5×5 lattice: shared vertices, coincident triangles
+    // (same key, or the copy's key), collinear and zero-area triangles
+    // all occur. The separating-line exit must never change an answer.
+    const GeometricGraph g = doubled_lattice(5);
+    const auto n = static_cast<NodeId>(g.node_count());
+    rnd::Xoshiro256 rng(2002);
+    const auto id = [&] { return static_cast<NodeId>(rng.below(n)); };
+    const auto random_key = [&] {
+        for (;;) {
+            if (const auto k = distinct_key(id(), id(), id())) return *k;
+        }
+    };
+    std::size_t intersecting = 0;
+    std::size_t zero_area = 0;
+    for (std::size_t pair = 0; pair < 1'000'000; ++pair) {
+        const TriangleKey s = random_key();
+        std::optional<TriangleKey> t;
+        const auto copy = [&](NodeId v) { return (v + n / 2) % n; };
+        switch (rng.below(8)) {
+            case 0: t = s; break;
+            case 1: t = make_triangle_key(copy(s.a), copy(s.b), copy(s.c)); break;
+            case 2: t = distinct_key(s.a, id(), id()); break;
+            case 3: t = distinct_key(s.b, s.c, id()); break;
+            default: break;
+        }
+        if (!t) t = random_key();
+        const bool fast = triangles_intersect(g, s, *t);
+        ASSERT_EQ(fast, test::intersect_reference(g, s, *t))
+            << "pair " << pair << ": " << ::testing::PrintToString(s) << " vs "
+            << ::testing::PrintToString(*t);
+        intersecting += fast ? 1 : 0;
+        if (geom::orient_sign(g.point(s.a), g.point(s.b), g.point(s.c)) == 0) ++zero_area;
+    }
+    EXPECT_GT(intersecting, 100'000u);
+    EXPECT_LT(intersecting, 900'000u);
+    EXPECT_GT(zero_area, 10'000u);
+}
+
+TEST(Alg3Kernel, PlanarizeMatchesAllPairsReference) {
+    // Soups of ~200 small-integer triangles on a 30×30 lattice: crossings
+    // and containments both occur — unlike real LDel⁽¹⁾ sets, where
+    // Algorithm 3 almost never finds an intersecting pair — yet about
+    // half the triangles survive, so one missed containment changes the
+    // result. Every path must keep exactly the all-pairs reference's
+    // survivors.
+    const std::size_t m = 30;
+    const GeometricGraph g = doubled_lattice(m);
+    std::size_t containments = 0;
+    std::size_t removed = 0;
+    std::size_t total = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        rnd::Xoshiro256 rng(seed);
+        // Corners within 3 of a random anchor, from either copy.
+        const auto near = [&](std::size_t x0, std::size_t y0) {
+            const std::size_t x = std::min(m - 1, x0 + rng.below(4));
+            const std::size_t y = std::min(m - 1, y0 + rng.below(4));
+            return static_cast<NodeId>(rng.below(2) * m * m + x * m + y);
+        };
+        std::vector<TriangleKey> soup;
+        while (soup.size() < 200) {
+            const std::size_t x0 = rng.below(m);
+            const std::size_t y0 = rng.below(m);
+            if (const auto k = distinct_key(near(x0, y0), near(x0, y0), near(x0, y0))) {
+                soup.push_back(*k);
+            }
+        }
+        std::ranges::sort(soup);
+        soup.erase(std::unique(soup.begin(), soup.end()), soup.end());
+        const auto expected = test::planarize_reference(g, soup);
+        total += soup.size();
+        removed += soup.size() - expected.size();
+        for (std::size_t i = 0; i < soup.size(); ++i) {
+            for (std::size_t j = i + 1; j < soup.size(); ++j) {
+                // Intersecting with no crossing edges: a containment.
+                if (test::intersect_reference(g, soup[i], soup[j]) &&
+                    !test::edges_cross_reference(g, soup[i], soup[j])) {
+                    ++containments;
+                }
+            }
+        }
+
+        EXPECT_EQ(planarize_triangles(g, soup), expected);
+        const Alg3Filter filter(g, soup);
+        const std::size_t cells = filter.cell_count();
+        for (const std::size_t blocks : {std::size_t{1}, std::size_t{2}, std::size_t{7}, cells}) {
+            std::vector<std::vector<std::uint32_t>> lists(blocks);
+            for (std::size_t b = 0; b < blocks; ++b) {
+                filter.removal_scan(b * cells / blocks, (b + 1) * cells / blocks, lists[b]);
+            }
+            EXPECT_EQ(filter.survivors(lists), expected) << blocks << " blocks";
+        }
+        std::vector<TriangleKey> kept;
+        for (const TriangleKey t : soup) {
+            const bool gone = std::ranges::any_of(
+                soup, [&](TriangleKey r) { return r != t && alg3_removed_by(g, t, r); });
+            if (!gone) kept.push_back(t);
+        }
+        EXPECT_EQ(kept, expected) << "alg3_removed_by";
+    }
+    // The removal branch really ran, and did not remove everything.
+    EXPECT_GT(containments, 0u);
+    EXPECT_GT(removed, 0u);
+    EXPECT_LT(removed, total);
 }
 
 // ---- The star walk against its references --------------------------

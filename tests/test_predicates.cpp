@@ -134,6 +134,31 @@ TEST(Segments, ProperCrossing) {
     EXPECT_FALSE(segments_properly_cross({0, 0}, {1, 0}, {0, 1}, {1, 1}));  // Parallel.
 }
 
+TEST(Segments, ProperCrossingMatchesFourSignDefinition) {
+    // Endpoints on a 4x4 integer lattice: shared endpoints, T-junctions,
+    // collinear overlaps and zero-length segments all occur. The early
+    // return after the first straddle must not change any answer.
+    rnd::Xoshiro256 rng(337);
+    const auto lattice_point = [&] {
+        return Point{static_cast<double>(rng.below(4)), static_cast<double>(rng.below(4))};
+    };
+    std::size_t crossings = 0;
+    for (int trial = 0; trial < 200'000; ++trial) {
+        const Point p1 = lattice_point();
+        const Point p2 = lattice_point();
+        // A quarter of the pairs reuse an endpoint of the first segment.
+        const Point q1 = rng.below(4) == 0 ? (rng.below(2) == 0 ? p1 : p2) : lattice_point();
+        const Point q2 = lattice_point();
+        const bool four_signs = orient_sign(p1, p2, q1) * orient_sign(p1, p2, q2) < 0 &&
+                                orient_sign(q1, q2, p1) * orient_sign(q1, q2, p2) < 0;
+        ASSERT_EQ(segments_properly_cross(p1, p2, q1, q2), four_signs)
+            << "(" << p1.x << "," << p1.y << ")-(" << p2.x << "," << p2.y << ") vs (" << q1.x
+            << "," << q1.y << ")-(" << q2.x << "," << q2.y << ")";
+        crossings += four_signs ? 1 : 0;
+    }
+    EXPECT_GT(crossings, 0u);
+}
+
 TEST(Segments, IntersectIncludesTouching) {
     EXPECT_TRUE(segments_intersect({0, 0}, {1, 1}, {1, 1}, {2, 0}));
     EXPECT_TRUE(segments_intersect({0, 0}, {2, 0}, {1, 0}, {1, 2}));

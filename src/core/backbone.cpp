@@ -5,9 +5,7 @@
 
 #include "core/input.h"
 #include "protocol/clustering.h"
-#include "proximity/classic.h"
 #include "proximity/ldel_k.h"
-#include "protocol/ldel2_protocol.h"
 #include "protocol/ldel_protocol.h"
 #include "protocol/messages.h"
 
@@ -142,12 +140,7 @@ Backbone build_backbone(const GeometricGraph& udg, BuildOptions options) {
                 ? proximity::planarize_triangles(result.icds,
                                                  proximity::ldel1_triangles(result.icds))
                 : proximity::ldel_k_triangles(result.icds, 2);
-        result.ldel_icds = proximity::build_gabriel(result.icds);
-        for (const auto& t : result.ldel_triangles) {
-            result.ldel_icds.add_edge(t.a, t.b);
-            result.ldel_icds.add_edge(t.b, t.c);
-            result.ldel_icds.add_edge(t.a, t.c);
-        }
+        result.ldel_icds = proximity::ldel_graph(result.icds, result.ldel_triangles);
     }
 
     result.is_connector = connectors.is_connector;

@@ -1,9 +1,11 @@
 // Delaunay triangulation of a planar point set.
 //
-// Used in two roles:
-//  * the localized Delaunay protocol has every node compute the Delaunay
-//    triangulation of its 1-hop neighborhood (Algorithm 2, step 2);
-//  * the global "Del ∩ UDG" baseline of the paper's Table I.
+// The library uses it for the global "Del ∩ UDG" baseline of the
+// paper's Table I (proximity::build_udel). The localized stages do not
+// triangulate neighborhoods: every LDel⁽ᵏ⁾ path (the engine, the
+// protocols, DynamicSpanner, ldel_k_triangles) walks only u's star with
+// proximity::local_triangles_at, and this triangulation is the
+// reference that walk is tested against.
 //
 // Implementation: incremental Bowyer–Watson insertion. Instead of an
 // enclosing super-triangle with large coordinates (which perturbs
@@ -15,13 +17,13 @@
 // hull edges. Fully collinear inputs yield the degenerate Delaunay graph
 // (the path of consecutive points along the line) and no triangles.
 //
-// The localized stage triangulates one small neighborhood per node —
-// tens of thousands of tiny inputs per build — so the construction-time
-// cost there is allocator traffic, not geometry. All mutable state of a
-// triangulation run (triangle pool, edge→triangle map, cavity queues,
-// dedup and Morton scratch) therefore lives in a reusable Workspace:
-// the first run sizes the buffers, subsequent runs reuse them without
-// touching the heap. `triangulate` is the workspace-based entry point;
+// Repeated small triangulations (the hot-path bench's side-by-side rows
+// and the end-to-end benchmark's triangulation probe) are bound by
+// allocator traffic, not geometry. All mutable state of a triangulation
+// run (triangle pool, edge→triangle map, cavity queues, dedup and
+// Morton scratch) therefore lives in a reusable Workspace: the first
+// run sizes the buffers, subsequent runs reuse them without touching
+// the heap. `triangulate` is the workspace-based entry point;
 // DelaunayTriangulation wraps it with a private workspace for one-shot
 // callers.
 #pragma once

@@ -128,42 +128,23 @@ PairRemoval alg3_pair(const TrianglePoints& s, const TrianglePoints& t) {
     return {remove_s, remove_t};
 }
 
-GeometricGraph graph_from(const GeometricGraph& udg,
-                          const std::vector<TriangleKey>& triangles) {
-    GeometricGraph g = build_gabriel(udg);
-    for (const auto& t : triangles) {
-        g.add_edge(t.a, t.b);
-        g.add_edge(t.b, t.c);
-        g.add_edge(t.a, t.c);
-    }
-    return g;
-}
-
-}  // namespace
-
-std::vector<TriangleKey> local_triangles_at(const GeometricGraph& udg, NodeId u) {
-    LocalDelaunayScratch scratch;
-    std::vector<TriangleKey> result;
-    local_triangles_at(udg, u, scratch, result);
-    return result;
-}
-
-void local_triangles_at(const GeometricGraph& udg, NodeId u,
-                        LocalDelaunayScratch& scratch, std::vector<TriangleKey>& out) {
+/// The star walk behind every local_triangles_at overload. `in_row` says
+/// the view is u's neighbor row, so the sides at u need no edge test.
+void star_walk(const GeometricGraph& g, NodeId u, std::span<const NodeId> view, bool in_row,
+               LocalDelaunayScratch& scratch, std::vector<TriangleKey>& out) {
     out.clear();
-    const auto nbrs = udg.neighbors(u);
-    if (nbrs.size() < 2) return;
-    const Point pu = udg.point(u);
+    if (view.size() < 2) return;
+    const Point pu = g.point(u);
 
-    // Candidates: u's distinct neighbors. Sorted by (point, id), each run
-    // of coincident neighbors starts with its least id — the first in
-    // adjacency order — which stands for the run; neighbors on u go.
+    // Candidates: the view's distinct points. Sorted by (point, id), each
+    // run of coincident candidates starts with its least id, which stands
+    // for the run; candidates on u go.
     auto& ids = scratch.ids;
     auto& pts = scratch.pts;
-    ids.assign(nbrs.begin(), nbrs.end());
+    ids.assign(view.begin(), view.end());
     std::sort(ids.begin(), ids.end(), [&](NodeId a, NodeId b) {
-        const Point pa = udg.point(a);
-        const Point pb = udg.point(b);
+        const Point pa = g.point(a);
+        const Point pb = g.point(b);
         if (pa.x != pb.x) return pa.x < pb.x;
         if (pa.y != pb.y) return pa.y < pb.y;
         return a < b;
@@ -171,7 +152,7 @@ void local_triangles_at(const GeometricGraph& udg, NodeId u,
     pts.clear();
     std::size_t k = 0;
     for (const NodeId v : ids) {
-        const Point p = udg.point(v);
+        const Point p = g.point(v);
         if (p == pu || (k > 0 && p == pts[k - 1])) continue;
         ids[k++] = v;
         pts.push_back(p);
@@ -179,7 +160,7 @@ void local_triangles_at(const GeometricGraph& udg, NodeId u,
     ids.resize(k);
     if (k < 2) return;
 
-    // Start edge: u's nearest neighbor, made exact. While some candidate
+    // Start edge: u's nearest candidate, made exact. While some candidate
     // lies in or on the diametral circle of (u, s0) it is strictly closer
     // to u, so it takes over and the loop ends; the closed diametral
     // circle is then empty, and (u, s0) is a Delaunay edge under any
@@ -220,14 +201,19 @@ void local_triangles_at(const GeometricGraph& udg, NodeId u,
         }
         return w;
     };
-    // Sides at u are graph edges by construction; the far side must be
-    // one too.
+    // Only triangles whose three sides are graph edges count.
+    const auto row_u = g.neighbors(u);
+    const auto adjacent_to_u = [&](std::size_t x) {
+        return in_row || std::binary_search(row_u.begin(), row_u.end(), ids[x]);
+    };
     const auto emit = [&](std::size_t v, std::size_t w) {
-        if (udg.has_edge(ids[v], ids[w])) out.push_back(make_triangle_key(u, ids[v], ids[w]));
+        if (g.has_edge(ids[v], ids[w]) && adjacent_to_u(v) && adjacent_to_u(w)) {
+            out.push_back(make_triangle_key(u, ids[v], ids[w]));
+        }
     };
 
     // Walk counter-clockwise from s0; if the fan does not close (u is on
-    // the hull of its neighborhood), walk clockwise from s0 as well. Each
+    // the hull of its view), walk clockwise from s0 as well. Each
     // star triangle is met once; k steps bound either walk.
     bool closed = false;
     std::size_t v = s0;
@@ -248,13 +234,27 @@ void local_triangles_at(const GeometricGraph& udg, NodeId u,
     std::sort(out.begin(), out.end());
 }
 
-bool triangles_intersect(const GeometricGraph& g, TriangleKey s, TriangleKey t) {
-    return intersect_impl(ccw_points(g, s), ccw_points(g, t));
+}  // namespace
+
+void local_triangles_at(const GeometricGraph& g, NodeId u, std::span<const NodeId> view,
+                        LocalDelaunayScratch& scratch, std::vector<TriangleKey>& out) {
+    star_walk(g, u, view, /*in_row=*/false, scratch, out);
 }
 
-bool circumcircle_contains_vertex_of(const GeometricGraph& g, TriangleKey s,
-                                     TriangleKey t) {
-    return cc_contains_impl(ccw_points(g, s), ccw_points(g, t));
+void local_triangles_at(const GeometricGraph& udg, NodeId u,
+                        LocalDelaunayScratch& scratch, std::vector<TriangleKey>& out) {
+    star_walk(udg, u, udg.neighbors(u), /*in_row=*/true, scratch, out);
+}
+
+std::vector<TriangleKey> local_triangles_at(const GeometricGraph& udg, NodeId u) {
+    LocalDelaunayScratch scratch;
+    std::vector<TriangleKey> result;
+    local_triangles_at(udg, u, scratch, result);
+    return result;
+}
+
+bool triangles_intersect(const GeometricGraph& g, TriangleKey s, TriangleKey t) {
+    return intersect_impl(ccw_points(g, s), ccw_points(g, t));
 }
 
 bool alg3_removed_by(const GeometricGraph& g, TriangleKey t, TriangleKey r) {
@@ -271,11 +271,14 @@ std::vector<TriangleKey> ldel1_triangles(const GeometricGraph& udg) {
     for (NodeId u = 0; u < n; ++u) {
         local_triangles_at(udg, u, scratch, local[u]);
     }
+    return unanimous_triangles(local);
+}
 
+std::vector<TriangleKey> unanimous_triangles(const std::vector<std::vector<TriangleKey>>& local) {
     // Concatenating the least-vertex hits in node order is already
     // globally sorted.
     std::vector<TriangleKey> result;
-    for (NodeId u = 0; u < n; ++u) {
+    for (NodeId u = 0; u < local.size(); ++u) {
         for (const auto& t : local[u]) {
             // Count each triangle once, at its least vertex.
             if (t.a == u && ldel1_member(local, t)) result.push_back(t);
@@ -425,12 +428,23 @@ std::vector<TriangleKey> planarize_triangles(const GeometricGraph& udg,
     return filter.survivors({&removed, 1});
 }
 
+GeometricGraph ldel_graph(const GeometricGraph& udg,
+                          const std::vector<TriangleKey>& triangles) {
+    GeometricGraph g = build_gabriel(udg);
+    for (const auto& t : triangles) {
+        g.add_edge(t.a, t.b);
+        g.add_edge(t.b, t.c);
+        g.add_edge(t.a, t.c);
+    }
+    return g;
+}
+
 GeometricGraph build_ldel1(const GeometricGraph& udg) {
-    return graph_from(udg, ldel1_triangles(udg));
+    return ldel_graph(udg, ldel1_triangles(udg));
 }
 
 GeometricGraph build_pldel(const GeometricGraph& udg) {
-    return graph_from(udg, planarize_triangles(udg, ldel1_triangles(udg)));
+    return ldel_graph(udg, planarize_triangles(udg, ldel1_triangles(udg)));
 }
 
 }  // namespace geospanner::proximity

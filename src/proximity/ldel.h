@@ -39,34 +39,40 @@ struct TriangleKey {
 [[nodiscard]] TriangleKey make_triangle_key(graph::NodeId x, graph::NodeId y,
                                             graph::NodeId z);
 
-/// Triangles incident to u in the Delaunay triangulation of N1(u) whose
-/// three sides are all UDG edges — what node u computes locally in
-/// Algorithm 2. Sorted canonical keys.
-///
-/// Only u's star is computed: a gift-wrap walk around u over its
-/// distinct neighbors, O(d·k) predicates for degree d and star size k.
-/// A neighbor exactly on u is dropped; of coincident neighbors the first
-/// in adjacency order (the least id) stands for them all. Exactly
-/// cocircular ties go through geom::incircle_ccw_sos keyed by global node
-/// id, so every corner of a cocircular quadruple resolves it the same
-/// way and the lists of different nodes stay consistent.
-[[nodiscard]] std::vector<TriangleKey> local_triangles_at(const graph::GeometricGraph& udg,
-                                                          graph::NodeId u);
-
 /// Arena for repeated local_triangles_at calls: the kernel runs once per
-/// node per build, so its candidate columns (the ids and points of u's
-/// distinct neighbors) live here and are reused call to call — zero
-/// steady-state heap traffic. One scratch per thread; results never
+/// node per build, so its candidate columns (the ids and points of the
+/// view's distinct candidates) live here and are reused call to call —
+/// zero steady-state heap traffic. One scratch per thread; results never
 /// depend on history.
 struct LocalDelaunayScratch {
     std::vector<graph::NodeId> ids;
     std::vector<geom::Point> pts;
 };
 
-/// Scratch-reusing form of local_triangles_at: replaces `out` with the
-/// same sorted canonical keys the one-shot overload returns.
+/// Triangles at u of the Delaunay triangulation of a caller-given
+/// candidate view (u's k-hop neighborhood for LDel⁽ᵏ⁾; it may contain u)
+/// whose three sides are all graph edges — what node u computes locally
+/// in Algorithm 2. Replaces `out` with sorted canonical keys.
+///
+/// Only u's star is computed: a gift-wrap walk around u over the view's
+/// distinct points, O(d·k) predicates for view size d and star size k.
+/// A candidate exactly on u (u itself included) is dropped; of
+/// coincident candidates the least id stands for them all. Exactly
+/// cocircular ties go through geom::incircle_ccw_sos keyed by global node
+/// id, so every corner of a cocircular quadruple resolves it the same
+/// way and the lists of different nodes stay consistent, for every k.
+void local_triangles_at(const graph::GeometricGraph& g, graph::NodeId u,
+                        std::span<const graph::NodeId> view, LocalDelaunayScratch& scratch,
+                        std::vector<TriangleKey>& out);
+
+/// The LDel⁽¹⁾ star: local_triangles_at over the view N1(u), u's
+/// neighbor row.
 void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
                         LocalDelaunayScratch& scratch, std::vector<TriangleKey>& out);
+
+/// One-shot form of the LDel⁽¹⁾ star.
+[[nodiscard]] std::vector<TriangleKey> local_triangles_at(const graph::GeometricGraph& udg,
+                                                          graph::NodeId u);
 
 /// Strict geometric intersection of two distinct triangles: some edge
 /// pair properly crosses or a vertex of one lies strictly inside the
@@ -78,11 +84,6 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 [[nodiscard]] bool triangles_intersect(const graph::GeometricGraph& g, TriangleKey s,
                                        TriangleKey t);
 
-/// True iff the circumcircle of s strictly contains some vertex of t —
-/// Algorithm 3's removal trigger. Exact.
-[[nodiscard]] bool circumcircle_contains_vertex_of(const graph::GeometricGraph& g,
-                                                   TriangleKey s, TriangleKey t);
-
 /// Algorithm 3's rule for one pair: true iff triangle t is removed
 /// because of r — they intersect and t's circumcircle strictly contains
 /// a vertex of r, or neither circumcircle strictly contains a vertex of
@@ -92,17 +93,22 @@ void local_triangles_at(const graph::GeometricGraph& udg, graph::NodeId u,
 [[nodiscard]] bool alg3_removed_by(const graph::GeometricGraph& g, TriangleKey t,
                                    TriangleKey r);
 
-/// LDel⁽¹⁾'s membership rule over per-node local_triangles_at lists:
-/// t is a 1-localized Delaunay triangle iff all three of its corners
-/// list it (a Delaunay triangle of N1(x) has its circumcircle empty of
-/// N1(x)). `local[v]` is v's sorted list, read as a row (a span, e.g.
-/// from graph::CowRows).
+/// LDel⁽ᵏ⁾'s membership rule over per-node local_triangles_at lists:
+/// t is a k-localized Delaunay triangle iff all three of its corners
+/// list it over their k-hop views (a Delaunay triangle of N_k(x) has its
+/// circumcircle empty of N_k(x)). `local[v]` is v's sorted list, read as
+/// a row (a span, e.g. from graph::CowRows).
 template <class Rows>
 [[nodiscard]] bool ldel1_member(const Rows& local, TriangleKey t) {
     return std::ranges::binary_search(local[t.a], t) &&
            std::ranges::binary_search(local[t.b], t) &&
            std::ranges::binary_search(local[t.c], t);
 }
+
+/// The triangles all three of whose corners list them in `local` (one
+/// sorted local_triangles_at list per node), each once, sorted.
+[[nodiscard]] std::vector<TriangleKey> unanimous_triangles(
+    const std::vector<std::vector<TriangleKey>>& local);
 
 /// All 1-localized Delaunay triangles of the UDG, sorted. Computed from
 /// the per-node local Delaunay stars (O(d·k) per node, so O(d) on the
@@ -186,6 +192,11 @@ class Alg3Filter {
     std::vector<std::uint32_t> cell_offsets_;
     std::vector<std::uint32_t> cell_items_;
 };
+
+/// The LDel graph of a triangle set: Gabriel edges of `udg` plus the
+/// sides of every triangle, over the full node set.
+[[nodiscard]] graph::GeometricGraph ldel_graph(const graph::GeometricGraph& udg,
+                                               const std::vector<TriangleKey>& triangles);
 
 /// LDel⁽¹⁾(V): Gabriel edges plus edges of all 1-localized Delaunay
 /// triangles. Thickness 2; not necessarily planar.

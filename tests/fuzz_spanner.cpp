@@ -16,6 +16,10 @@
 // from-scratch topology, and a diverging schedule is ddmin-shrunk over
 // its event list (stale-event skipping keeps every subsequence
 // applicable) and dumped as a replayable JSON schedule artifact.
+//
+// The protocol differential runs the message-passing LDel protocols
+// against their centralized kernels on every mode and shrinks and dumps
+// a disagreeing world like a certificate violation.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -31,6 +35,8 @@
 #include "fault/healer.h"
 #include "graph/planarity.h"
 #include "io/serialize.h"
+#include "protocol/ldel_protocol.h"
+#include "proximity/ldel_k.h"
 #include "proximity/udg.h"
 #include "test_util.h"
 #include "verify/audit.h"
@@ -82,15 +88,13 @@ std::optional<verify::AuditReport> first_audit_failure(
     return *failure;
 }
 
-/// Shrinks a failing instance (failure = `check` keeps failing) and
-/// dumps the JSON+SVG repro pair. Returns the JSON artifact path.
+/// Shrinks a failing instance (failure = `still_fails` holds) and dumps
+/// the JSON+SVG repro pair naming `check`. Returns the JSON artifact
+/// path.
+template <class Pred>
 std::string shrink_and_dump(FuzzMode mode, std::uint64_t seed, double radius,
-                            std::vector<geom::Point> points,
-                            const std::string& check) {
-    const auto still_fails = [&](const std::vector<geom::Point>& pts) {
-        const auto failure = first_audit_failure(pts, radius);
-        return failure.has_value() && failure->check == check;
-    };
+                            std::vector<geom::Point> points, const std::string& check,
+                            Pred&& still_fails) {
     io::ReproCase repro;
     repro.seed = seed;
     repro.mode = test::fuzz_mode_name(mode);
@@ -107,12 +111,57 @@ TEST(FuzzSpanner, SeededSweepAllModesHoldCertificates) {
             const auto points = test::fuzz_points(mode, config);
             const auto failure = first_audit_failure(points, config.radius);
             if (failure.has_value()) {
+                const auto still_fails = [&](const std::vector<geom::Point>& pts) {
+                    const auto f = first_audit_failure(pts, config.radius);
+                    return f.has_value() && f->check == failure->check;
+                };
                 const std::string artifact = shrink_and_dump(
-                    mode, seed, config.radius, points, failure->check);
+                    mode, seed, config.radius, points, failure->check, still_fails);
                 ADD_FAILURE() << "mode=" << test::fuzz_mode_name(mode)
                               << " seed=" << seed << ": " << failure->summary()
                               << "\n  shrunk repro: " << artifact;
             }
+        }
+    }
+}
+
+/// Which distributed LDel protocol disagrees with its centralized kernel
+/// on the UDG of `points`: "ldel_protocol" when run_ldel differs from
+/// planarize_triangles(ldel1_triangles), "ldel2_protocol" when run_ldel2
+/// differs from ldel_k_triangles(·, 2), "" when both agree.
+std::string protocol_divergence(const std::vector<geom::Point>& points, double radius) {
+    const GeometricGraph udg = proximity::build_udg(points, radius);
+    protocol::Net net1(udg);
+    if (protocol::run_ldel(net1, udg, /*announce_positions=*/true).triangles !=
+        proximity::planarize_triangles(udg, proximity::ldel1_triangles(udg))) {
+        return "ldel_protocol";
+    }
+    protocol::Net net2(udg);
+    if (protocol::run_ldel2(net2, udg, /*announce_positions=*/true).triangles !=
+        proximity::ldel_k_triangles(udg, 2)) {
+        return "ldel2_protocol";
+    }
+    return "";
+}
+
+TEST(FuzzSpanner, ProtocolsMatchTheirKernelsAllModes) {
+    // Cross-path differential: the message-passing protocols against the
+    // centralized kernels, on every generator mode, the degenerate ones
+    // included.
+    for (const FuzzMode mode : test::all_fuzz_modes()) {
+        for (const std::uint64_t seed : sweep_seeds()) {
+            const auto config = fuzz_config(seed);
+            const auto points = test::fuzz_points(mode, config);
+            const std::string diverged = protocol_divergence(points, config.radius);
+            if (diverged.empty()) continue;
+            const auto still_fails = [&](const std::vector<geom::Point>& pts) {
+                return protocol_divergence(pts, config.radius) == diverged;
+            };
+            const std::string artifact = shrink_and_dump(mode, seed, config.radius, points,
+                                                         diverged, still_fails);
+            ADD_FAILURE() << "mode=" << test::fuzz_mode_name(mode) << " seed=" << seed
+                          << ": " << diverged << " differs from its centralized kernel"
+                          << "\n  shrunk repro: " << artifact;
         }
     }
 }

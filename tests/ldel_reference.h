@@ -5,14 +5,16 @@
 //    N1(u), filtered to the triangles at u. On inputs without four
 //    cocircular points the Delaunay triangulation is unique, so the walk
 //    must list exactly these triangles.
-//  * perturbed_star_at — the definition under the symbolic perturbation:
-//    uvw is listed at u iff vw is an edge and no distinct neighbor of u
-//    is inside its circle by geom::incircle_ccw_sos keyed by node id.
-//    O(d^3) per node; it decides cocircular inputs, where Bowyer–Watson
-//    picks an arbitrary triangulation.
+//  * perturbed_view_star_at — the definition under the symbolic
+//    perturbation, over a caller-given candidate view: uvw is listed at
+//    u iff its three sides are edges and no distinct candidate is inside
+//    its circle by geom::incircle_ccw_sos keyed by node id. O(d^3) per
+//    node; it decides cocircular inputs, where Bowyer–Watson picks an
+//    arbitrary triangulation. perturbed_star_at is its 1-hop view (u's
+//    neighbors), and ldel_k_reference its k-hop unanimity (LDel⁽ᵏ⁾).
 //
-// Both apply the kernel's dedup: neighbors exactly on u are dropped and
-// of coincident neighbors the first in adjacency order stands for all.
+// Both apply the kernel's dedup: candidates exactly on u are dropped and
+// of coincident candidates the least id stands for all.
 //
 // And references for Algorithm 3, for checking the kernel behind
 // proximity::triangles_intersect, alg3_removed_by and Alg3Filter:
@@ -30,12 +32,14 @@
 #include <algorithm>
 #include <array>
 #include <ostream>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "delaunay/delaunay.h"
 #include "geom/predicates.h"
 #include "graph/geometric_graph.h"
+#include "graph/khop.h"
 #include "proximity/ldel.h"
 
 namespace geospanner::proximity {
@@ -78,33 +82,62 @@ inline std::vector<proximity::TriangleKey> bw_local_triangles_at(
     return out;
 }
 
-inline std::vector<proximity::TriangleKey> perturbed_star_at(const graph::GeometricGraph& udg,
-                                                             graph::NodeId u) {
-    const geom::Point pu = udg.point(u);
+inline std::vector<proximity::TriangleKey> perturbed_view_star_at(
+    const graph::GeometricGraph& g, graph::NodeId u, std::span<const graph::NodeId> view) {
+    const geom::Point pu = g.point(u);
+    // Distinct candidates: the least id of each coincident run stands.
+    std::vector<graph::NodeId> sorted(view.begin(), view.end());
+    std::ranges::sort(sorted);
     std::vector<graph::NodeId> cands;
-    for (const graph::NodeId v : udg.neighbors(u)) {
-        const geom::Point p = udg.point(v);
+    for (const graph::NodeId v : sorted) {
+        const geom::Point p = g.point(v);
         const bool coincident =
             p == pu || std::ranges::any_of(cands, [&](graph::NodeId c) {
-                return udg.point(c) == p;
+                return g.point(c) == p;
             });
         if (!coincident) cands.push_back(v);
     }
     std::vector<proximity::TriangleKey> out;
     for (const graph::NodeId v : cands) {
+        if (!g.has_edge(u, v)) continue;
         for (const graph::NodeId w : cands) {
             // Each triangle once, as the counter-clockwise (u, v, w).
-            if (geom::orient_sign(pu, udg.point(v), udg.point(w)) <= 0) continue;
-            if (!udg.has_edge(v, w)) continue;
+            if (!g.has_edge(u, w) || !g.has_edge(v, w)) continue;
+            if (geom::orient_sign(pu, g.point(v), g.point(w)) <= 0) continue;
             const bool empty = std::ranges::none_of(cands, [&](graph::NodeId p) {
                 return p != v && p != w &&
-                       geom::incircle_ccw_sos(pu, udg.point(v), udg.point(w), udg.point(p),
-                                              u, v, w, p) > 0;
+                       geom::incircle_ccw_sos(pu, g.point(v), g.point(w), g.point(p), u, v,
+                                              w, p) > 0;
             });
             if (empty) out.push_back(proximity::make_triangle_key(u, v, w));
         }
     }
     std::sort(out.begin(), out.end());
+    return out;
+}
+
+inline std::vector<proximity::TriangleKey> perturbed_star_at(const graph::GeometricGraph& udg,
+                                                             graph::NodeId u) {
+    return perturbed_view_star_at(udg, u, udg.neighbors(u));
+}
+
+/// LDel⁽ᵏ⁾ by the definition: the triangles all three corners list in
+/// their perturbed stars over their k-hop views, sorted.
+inline std::vector<proximity::TriangleKey> ldel_k_reference(const graph::GeometricGraph& g,
+                                                            int k) {
+    std::vector<std::vector<proximity::TriangleKey>> stars(g.node_count());
+    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+        stars[u] = perturbed_view_star_at(g, u, graph::k_hop_neighborhood(g, u, k));
+    }
+    std::vector<proximity::TriangleKey> out;
+    for (graph::NodeId u = 0; u < g.node_count(); ++u) {
+        for (const auto& t : stars[u]) {
+            if (t.a == u && std::ranges::binary_search(stars[t.b], t) &&
+                std::ranges::binary_search(stars[t.c], t)) {
+                out.push_back(t);
+            }
+        }
+    }
     return out;
 }
 

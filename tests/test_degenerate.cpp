@@ -21,6 +21,7 @@
 #include "engine/engine.h"
 #include "geom/predicates.h"
 #include "geom/vec2.h"
+#include "proximity/ldel_k.h"
 #include "proximity/udg.h"
 #include "shard/tile_engine.h"
 #include "test_util.h"
@@ -150,6 +151,59 @@ TEST(Degenerate, EngineMatchesCentralizedOnDegenerateInput) {
         EXPECT_EQ(result.backbone.cds, reference.cds);
         EXPECT_EQ(result.backbone.ldel_icds, reference.ldel_icds);
         EXPECT_EQ(result.backbone.ldel_icds_prime, reference.ldel_icds_prime);
+    }
+}
+
+TEST(Degenerate, Alg3GadgetRemovesTheSliverOnEveryPath) {
+    // The one world known to reach Algorithm 3's removal branch through a
+    // real backbone (R = 1). u = 0, v = 2, w = 3 form a sliver whose
+    // circumcircle is huge; x = 1 and y = 4 are out of range of u, v and
+    // w, so no corner sees them, and z = 5 sits just outside the arc
+    // below uw. Both uvw and xyz are 1-localized Delaunay, and edge xz
+    // crosses uw (|uw| is exactly 1). The pendants 6, 7, 8 become
+    // dominators, which makes every node a backbone node. Algorithm 3
+    // must remove uvw on every path; without it uw crosses xz.
+    const std::vector<geom::Point> points{
+        {0.0, 0.0}, {0.5, 0.94}, {0.1, -0.01},            // u, x, v
+        {1.0, 0.0}, {0.55, 0.9425}, {0.5, -0.05},         // w, y, z
+        {0.1495, -0.9987}, {1.99, 0.0}, {1.54, 0.9425}};  // pendants
+    const double radius = 1.0;
+    const auto udg = proximity::build_udg(points, radius);
+    using proximity::TriangleKey;
+    const std::vector<TriangleKey> ldel1{{0, 2, 3}, {1, 4, 5}};
+    const std::vector<TriangleKey> kept{{1, 4, 5}};
+    verify::AuditOptions audit_options;
+    audit_options.radius = radius;
+    for (const core::Engine engine : {core::Engine::kCentralized, core::Engine::kDistributed}) {
+        for (const core::Planarizer planarizer :
+             {core::Planarizer::kLdel1, core::Planarizer::kLdel2}) {
+            SCOPED_TRACE(::testing::Message()
+                         << (engine == core::Engine::kCentralized ? "centralized" : "distributed")
+                         << (planarizer == core::Planarizer::kLdel1 ? " LDel1" : " LDel2"));
+            core::BuildOptions options;
+            options.engine = engine;
+            options.planarizer = planarizer;
+            const core::Backbone backbone = core::build_backbone(udg, options);
+            ASSERT_EQ(backbone.backbone_size(), points.size());
+            EXPECT_EQ(proximity::ldel1_triangles(backbone.icds), ldel1);
+            EXPECT_EQ(proximity::ldel_k_triangles(backbone.icds, 2), kept);
+            EXPECT_EQ(backbone.ldel_triangles, kept);
+            EXPECT_TRUE(verify::check_planarity_certificate(backbone.ldel_icds).pass);
+            const verify::AuditTrail trail =
+                verify::audit_backbone(udg, backbone, audit_options);
+            EXPECT_TRUE(trail.pass()) << trail.summary();
+        }
+    }
+    for (const std::size_t lanes : {1UL, 2UL, 8UL}) {
+        SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+        engine::EngineOptions options;
+        options.threads = lanes;
+        options.audit = true;
+        options.audit_options = audit_options;
+        engine::SpannerEngine engine(options);
+        const engine::BuildResult result = engine.build(points, radius);
+        EXPECT_EQ(result.backbone.ldel_triangles, kept);
+        EXPECT_TRUE(result.audit.pass()) << result.audit.summary();
     }
 }
 

@@ -1,6 +1,6 @@
 // Distributed LDel⁽²⁾ equals the centralized k = 2 computation and is
 // planar without Algorithm 3.
-#include "protocol/ldel2_protocol.h"
+#include "protocol/ldel_protocol.h"
 
 #include <gtest/gtest.h>
 
@@ -55,6 +55,19 @@ TEST_P(Ldel2Sweep, MessageTradeoffVsLdel1) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Ldel2Sweep, ::testing::ValuesIn(test::standard_sweep()));
+
+TEST(Ldel2, MatchesCentralizedLdelK2OnTies) {
+    // Exactly cocircular quadruples everywhere: the distributed stars and
+    // the centralized ones must resolve every tie by the same SoS rule.
+    for (const auto& world : test::tie_worlds()) {
+        SCOPED_TRACE(world.name);
+        const GeometricGraph udg = proximity::build_udg(world.points, world.radius);
+        Net net(udg);
+        const LDelState distributed = run_ldel2(net, udg, /*announce_positions=*/true);
+        EXPECT_EQ(distributed.triangles, proximity::ldel_k_triangles(udg, 2));
+        EXPECT_EQ(distributed.graph, proximity::build_ldel_k(udg, 2));
+    }
+}
 
 TEST(Ldel2, SingleTriangle) {
     const GeometricGraph udg = proximity::build_udg({{0, 0}, {1, 0}, {0.5, 0.8}}, 1.1);

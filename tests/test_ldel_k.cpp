@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <gtest/gtest.h>
+#include <stdexcept>
 
 #include "graph/khop.h"
 #include "graph/metrics.h"
@@ -10,6 +11,7 @@
 #include "graph/shortest_paths.h"
 #include "proximity/classic.h"
 #include "proximity/udg.h"
+#include "ldel_reference.h"
 #include "test_util.h"
 
 namespace geospanner::proximity {
@@ -104,7 +106,36 @@ TEST_P(LdelKSweep, PldelSitsBetweenLdel2AndLdel1) {
     }
 }
 
+/// ldel_k_triangles at k = 2 and 3 against the O(d^3) perturbed
+/// definition over each corner's k-hop view. The distributed LDel⁽²⁾
+/// walks the same kernel, so this is the check on the kernel itself.
+void expect_matches_perturbed_definition(const GeometricGraph& udg) {
+    for (const int k : {2, 3}) {
+        SCOPED_TRACE(::testing::Message() << "k=" << k);
+        EXPECT_EQ(ldel_k_triangles(udg, k), test::ldel_k_reference(udg, k));
+    }
+}
+
+TEST_P(LdelKSweep, MatchesPerturbedDefinition) { expect_matches_perturbed_definition(udg_); }
+
 INSTANTIATE_TEST_SUITE_P(Sweep, LdelKSweep, ::testing::ValuesIn(test::standard_sweep()));
+
+TEST(LdelK, MatchesPerturbedDefinitionOnTies) {
+    for (const auto& world : test::tie_worlds()) {
+        SCOPED_TRACE(world.name);
+        expect_matches_perturbed_definition(build_udg(world.points, world.radius));
+    }
+}
+
+TEST(LdelK, RejectsKBelowOne) {
+    // A 0-hop view is the corner alone, which would filter nothing and
+    // pass the LDel⁽¹⁾ set off as LDel⁽⁰⁾.
+    const GeometricGraph udg = build_udg({{0, 0}, {1, 0}, {0.5, 0.8}}, 1.1);
+    EXPECT_THROW((void)ldel_k_triangles(udg, 0), std::invalid_argument);
+    EXPECT_THROW((void)ldel_k_triangles(udg, -1), std::invalid_argument);
+    EXPECT_THROW((void)build_ldel_k(udg, 0), std::invalid_argument);
+    EXPECT_EQ(ldel_k_triangles(udg, 1).size(), 1u);
+}
 
 }  // namespace
 }  // namespace geospanner::proximity

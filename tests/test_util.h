@@ -76,6 +76,42 @@ inline std::vector<SweepParam> standard_sweep() {
     return params;
 }
 
+/// A named point set and its radius.
+struct NamedWorld {
+    std::string name;
+    std::vector<geom::Point> points;
+    double radius;
+};
+
+/// Worlds full of exact cocircular ties, the inputs where the local
+/// Delaunay stars' SoS tie rule decides: the six cocircular-ring
+/// instances of Degenerate.CocircularRingsAuditClean (n = 48, side 200,
+/// R = 55, seeds 11/29/53, 2 and 4 rings) and the 10x10 zero-jitter
+/// lattices with spacing 0.3, 0.5 and 0.7 at R = 1.
+inline std::vector<NamedWorld> tie_worlds() {
+    std::vector<NamedWorld> worlds;
+    core::WorkloadConfig config;
+    config.node_count = 48;
+    config.side = 200.0;
+    config.radius = 55.0;
+    for (const std::uint64_t seed : {11ULL, 29ULL, 53ULL}) {
+        config.seed = seed;
+        for (const std::size_t circles : {2UL, 4UL}) {
+            worlds.push_back({"cocircular seed=" + std::to_string(seed) +
+                                  " circles=" + std::to_string(circles),
+                              core::cocircular_points(config, circles), config.radius});
+        }
+    }
+    for (const double h : {0.3, 0.5, 0.7}) {
+        std::vector<geom::Point> pts;
+        for (int i = 0; i < 10; ++i) {
+            for (int j = 0; j < 10; ++j) pts.push_back({h * i, h * j});
+        }
+        worlds.push_back({"lattice h=" + std::to_string(h), std::move(pts), 1.0});
+    }
+    return worlds;
+}
+
 // ---- Property-fuzz harness -------------------------------------------
 
 /// The five generator modes the fuzz driver sweeps. The last two are the
